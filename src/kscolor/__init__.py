@@ -9,7 +9,6 @@ under finite-precision perturbation.
 """
 
 from .coloring import (
-    ColoredRay,
     ProjectionRep,
     TruthValue,
     certifying_rescalings,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxResult",
-    "ColoredRay",
     "DegenerateInputError",
     "Frame",
     "GMatrix",

@@ -149,7 +149,10 @@ def _parse_value(s: str, i: int):
 
 
 def _lenient_loads(text: str):
-    val, i = _parse_value(text, 0)
+    try:
+        val, i = _parse_value(text, 0)
+    except RecursionError:
+        raise InvalidInputError("value is nested too deeply") from None
     if _skip_ws(text, i) != len(text):
         raise InvalidInputError("trailing characters after value")
     return val
@@ -538,12 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--seed", type=int, default=0, help="seed for gen-* subcommands"
-    )
-    common.add_argument(
-        "--max-denominator",
-        type=int,
-        default=10**6,
-        help="denominator cap where rationalization is configurable",
     )
     common.add_argument(
         "--format",

@@ -22,7 +22,6 @@ least one below the valuation of every other component.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, NotApplicableError
@@ -38,14 +37,6 @@ class TruthValue(enum.Enum):
 
     def __str__(self):
         return self.value
-
-
-@dataclass(frozen=True)
-class ColoredRay:
-    """A ray representative together with its assigned truth value."""
-
-    vector: GVector
-    value: TruthValue
 
 
 def classify_ray(v: GVector) -> TruthValue:

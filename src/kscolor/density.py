@@ -5,14 +5,26 @@ return exact objects (vectors over the Gaussian rationals, exactly orthogonal
 frames) whose distance to the target is verified by exact rational
 arithmetic, never by floating comparison.  Distance is the squared Frobenius
 distance between normalized projectors (``ray_dist2``), measured against the
-rationalized target; for frames, the maximum over legs.
+exact binary64 input (``Fraction(float)`` is exact); for frames, the maximum
+over legs.  A TRUE-ray target that is the binary64 image of a TRUE rational
+vector is passed through as that vector, with distance 0.
 
-The float-to-rational budget is split per coordinate: with m = 2n real
-coordinates, each coordinate receives eps/(8*sqrt(m)) for rationalization and
-the same again for divisibility adjustment, keeping the Euclidean move below
-eps/4 and the projective distance well below eps.  If the exact verification
-still misses (it can, since Gram-Schmidt drift is only estimated), the budget
-is halved and the construction retried, up to 40 rounds.
+Each construction is one rounding onto an integer lattice at a scale fixed
+up front; there is no retry budget.  A target t is divided by its largest
+|coordinate| (exact, so nothing overflows or underflows) and multiplied by
+the scale M, which 3 does not divide.  The TRUE lattice holds the integer
+vectors x with 3 not dividing x1 and 3 dividing every other coordinate, all
+nonzero; x/(3M) is then TRUE.  Rounding onto it moves coordinate 1 by at most
+1 and each of the other m - 1 real coordinates (m = 2n) by at most 3, so
+|x - M t|^2 < 9m, and as |M t| >= M the squared projector distance is below
+18m/M^2.  Any M >= sqrt(18m)/eps therefore proves d^2 <= eps^2 for TRUE
+rays.
+
+Frames and FALSE rays round the remaining vectors to Gaussian integers at a
+finer scale and orthogonalize them exactly against the TRUE leg; a leg
+orthogonal to a TRUE leg is never TRUE.  The exact checks stay: a miss,
+possible only for frame targets that are not orthonormal to within eps,
+raises ResourceLimitError with the achieved distance.
 """
 
 from __future__ import annotations
@@ -23,21 +35,21 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .coloring import TruthValue, classify_in_frame, classify_ray
-from .errors import DegenerateInputError, InvalidInputError, ResourceLimitError
-from .fields import adjust_denominator, rationalize
-from .linalg import Frame, GVector, gram_schmidt, inner_product, ray_dist2
-
-_MAX_ROUNDS = 40
+from .errors import InvalidInputError, ResourceLimitError
+from .fields import rationalize
+from .linalg import Frame, GVector, gram_schmidt, ray_dist2
 
 
 @dataclass(frozen=True)
 class ApproxResult:
     """An exactly-verified approximation outcome.
 
-    ``object`` is the constructed GVector or Frame; ``achieved_dist2`` the
-    exact squared projector distance to the rationalized target (max over
-    legs for frames); ``certificate`` the coloring of the object; ``witness``
-    an optional suitable frame (present for false rays).
+    ``object`` is the constructed GVector or Frame, built by one lattice
+    rounding at a scale proven up front (no retries); ``achieved_dist2`` the
+    exact squared projector distance to the exact binary64 target (max over
+    legs for frames; 0 when a TRUE target is passed through);
+    ``certificate`` the coloring of the object; ``witness`` an optional
+    suitable frame (present for false rays).
     """
 
     object: Union[GVector, Frame]
@@ -62,88 +74,83 @@ def _validate_real_target(target) -> list[float]:
     return coords
 
 
-def _unit(coords: list[float]) -> list[float]:
-    nrm = math.sqrt(math.fsum(c * c for c in coords))
-    return [c / nrm for c in coords]
+def _scale(eps: Fraction, m: int, factor: int) -> int:
+    """The smallest integer M >= factor * sqrt(18m) / eps that 3 does not
+    divide, computed exactly."""
+    scale = math.isqrt(math.ceil(18 * m * factor * factor / (eps * eps)) - 1) + 1
+    return scale + (scale % 3 == 0)
 
 
-def _rationalize_coords(coords: list[float], max_den: int) -> list[Fraction]:
-    return [rationalize(c, max_den) for c in coords]
+def _scaled(coords: Sequence[Fraction], scale: int) -> list[Fraction]:
+    span = max(abs(c) for c in coords)
+    return [c * scale / span for c in coords]
 
 
-def _budget(eps: Fraction, n_coords: int, round_no: int) -> tuple[Fraction, int]:
-    """Per-coordinate slack and matching denominator bound for one round."""
-    scale = 8 * math.isqrt(n_coords - 1) + 8  # >= 8*sqrt(n_coords)
-    delta = eps / scale / (2 ** round_no)
-    max_den = max(4, math.ceil(1 / delta))
-    return delta, max_den
+def _gaussian_point(coords: Sequence[Fraction], scale: int) -> GVector:
+    """The Gaussian-integer vector nearest to the scaled target."""
+    return GVector.from_reals([round(u) for u in _scaled(coords, scale)])
 
 
-def _true_vector_from_reference(ref: list[Fraction], delta: Fraction) -> GVector:
-    """Nudge rationalized coordinates into the TRUE pattern.
+def _true_point(coords: Sequence[Fraction], scale: int) -> GVector:
+    """x/(3M) for the TRUE lattice point x nearest to the target scaled by M."""
+    first, *rest = _scaled(coords, scale)
+    x1 = round(first)
+    if x1 % 3 == 0:
+        x1 += 1 if first >= x1 else -1
+    xs = [x1]
+    for u in rest:
+        xi = 3 * round(u / 3)
+        xs.append(xi if xi else (3 if u >= 0 else -3))
+    return GVector.from_reals([Fraction(xi, 3 * scale) for xi in xs])
 
-    Zero coordinates are displaced by the smallest magnitude inside the
-    budget; coordinate 1 gets a denominator divisible by 3 and the rest get
-    denominators prime to 3, each move bounded by delta.
-    """
-    filler = Fraction(1, max(4, math.ceil(1 / delta)))
-    out = []
-    for k, r in enumerate(ref):
-        if r == 0:
-            r = filler
-        out.append(adjust_denominator(r, want_div3=(k == 0), eps=delta))
-    return GVector.from_reals(out)
+
+def _within(d2: Fraction, eps: Fraction, what: str) -> Fraction:
+    if d2 > eps * eps:
+        raise ResourceLimitError(
+            f"no {what} within eps={eps}: the lattice point lies at d^2={d2}",
+            achieved_dist2=d2,
+        )
+    return d2
+
+
+def _true_leg_first(frame: Frame) -> list[TruthValue]:
+    values = classify_in_frame(frame)
+    if values[0] is not TruthValue.TRUE:
+        raise AssertionError("the TRUE lattice point did not classify TRUE")
+    return values
 
 
 def nearest_true_ray(target: Sequence, eps) -> ApproxResult:
     """A TRUE ray representative within eps of the target ray.
 
     The target is given as 2n machine reals (n >= 2 complex coordinates);
-    the result's squared projector distance to the rationalized target is
+    the result's squared projector distance to the exact binary64 target is
     verified exactly to be at most eps squared.
     """
     coords = _validate_real_target(target)
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    unit = _unit(coords)
-    eps2 = eps * eps
+    exact = [Fraction(c) for c in coords]
+    exact_target = GVector.from_reals(exact)
+    scale = _scale(eps, len(exact), 1)
 
-    # If the target itself is (up to float noise) a TRUE rational vector,
-    # keep that representative: trueness depends on the representative, and
+    # If the target is the binary64 image of a TRUE rational vector, keep
+    # that representative: trueness depends on the representative, and
     # normalizing would destroy it.
-    delta0, _ = _budget(eps, len(unit), 0)
-    span = max(abs(c) for c in coords)
-    raw_den = max(4, math.ceil((1 + span) / delta0))
-    ref_raw = [rationalize(c, raw_den) for c in coords]
-    if any(r != 0 for r in ref_raw):
+    span = max(abs(c) for c in exact)
+    ref_raw = [rationalize(c, math.ceil((1 + span) * scale)) for c in exact]
+    if all(float(r) == c for r, c in zip(ref_raw, coords)):
         raw_vec = GVector.from_reals(ref_raw)
         if classify_ray(raw_vec) is TruthValue.TRUE:
-            exact_target = GVector.from_reals([Fraction(c) for c in coords])
-            if 4 * ray_dist2(raw_vec, exact_target) <= eps2:
+            if 4 * ray_dist2(raw_vec, exact_target) <= eps * eps:
                 return ApproxResult(raw_vec, Fraction(0), TruthValue.TRUE)
 
-    best: Optional[Fraction] = None
-    for round_no in range(_MAX_ROUNDS):
-        delta, max_den = _budget(eps, len(unit), round_no)
-        ref = _rationalize_coords(unit, max_den)
-        if all(r == 0 for r in ref):
-            continue
-        ref_vec = GVector.from_reals(ref)
-        if classify_ray(ref_vec) is TruthValue.TRUE:
-            # The rationalized target itself qualifies: zero distance.
-            return ApproxResult(ref_vec, Fraction(0), TruthValue.TRUE)
-        cand = _true_vector_from_reference(ref, delta)
-        if classify_ray(cand) is not TruthValue.TRUE:
-            continue
-        d2 = ray_dist2(cand, ref_vec)
-        if d2 <= eps2:
-            return ApproxResult(cand, d2, TruthValue.TRUE)
-        best = d2 if best is None else min(best, d2)
-    raise ResourceLimitError(
-        f"no TRUE ray within eps={eps} after {_MAX_ROUNDS} rounds",
-        achieved_dist2=best,
-    )
+    vec = _true_point(exact, scale)
+    if classify_ray(vec) is not TruthValue.TRUE:
+        raise AssertionError("the TRUE lattice point did not classify TRUE")
+    d2 = _within(ray_dist2(vec, exact_target), eps, "TRUE ray")
+    return ApproxResult(vec, d2, TruthValue.TRUE)
 
 
 def _validate_frame_target(targets) -> list[list[float]]:
@@ -174,70 +181,27 @@ def suitable_frame_near(targets: Sequence[Sequence], eps) -> ApproxResult:
     eps of the given nearly-orthonormal float vectors.
 
     The TRUE leg replaces target leg 1 (callers can permute targets to move
-    it); the other legs come from exact Gram-Schmidt of the rationalized
-    targets against it, which keeps their drift of the same order as leg 1's.
+    it); the other legs come from exact Gram-Schmidt of the Gaussian-integer
+    roundings of the targets against it.  Gram-Schmidt passes the rounding
+    errors of earlier legs on to later ones, so the scale carries a safety
+    factor of 4n.
     """
     rows = _validate_frame_target(targets)
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
     n = len(rows)
-    eps2 = eps * eps
-    best: Optional[Fraction] = None
-    for round_no in range(_MAX_ROUNDS):
-        _, max_den = _budget(eps / (2 * n), 2 * n, round_no)
-        refs = []
-        for row in rows:
-            ref = _rationalize_coords(row, max_den)
-            if all(r == 0 for r in ref):
-                refs = None
-                break
-            refs.append(GVector.from_reals(ref))
-        if refs is None:
-            continue
-
-        if _exactly_orthogonal(refs):
-            ready = Frame(refs)
-            values = classify_in_frame(ready)
-            if values.count(TruthValue.TRUE) == 1:
-                return ApproxResult(ready, Fraction(0), values)
-
-        try:
-            leg1 = nearest_true_ray(rows[0], eps / (4 * n) / (2 ** round_no))
-            frame = gram_schmidt([leg1.object] + refs[1:])
-        except (DegenerateInputError, ResourceLimitError):
-            continue
-        values = classify_in_frame(frame)
-        if values.count(TruthValue.TRUE) != 1 or values[0] is not TruthValue.TRUE:
-            continue
-        dists = [ray_dist2(frame[k], refs[k]) for k in range(n)]
-        worst = max(dists)
-        if worst <= eps2:
-            return ApproxResult(frame, worst, values)
-        best = worst if best is None else min(best, worst)
-    raise ResourceLimitError(
-        f"no suitable frame within eps={eps} after {_MAX_ROUNDS} rounds",
-        achieved_dist2=best,
+    exact = [[Fraction(c) for c in row] for row in rows]
+    scale = _scale(eps, 2 * n, 4 * n)
+    frame = gram_schmidt(
+        [_true_point(exact[0], scale)]
+        + [_gaussian_point(row, scale) for row in exact[1:]]
     )
-
-
-def _exactly_orthogonal(vectors: list[GVector]) -> bool:
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if not inner_product(vectors[i], vectors[j]).is_zero():
-                return False
-    return True
-
-
-def _standard_basis_floats(n: int, skip: int) -> list[list[float]]:
-    rows = []
-    for j in range(n):
-        if j == skip:
-            continue
-        row = [0.0] * (2 * n)
-        row[2 * j] = 1.0
-        rows.append(row)
-    return rows
+    values = _true_leg_first(frame)
+    worst = max(
+        ray_dist2(leg, GVector.from_reals(row)) for leg, row in zip(frame, exact)
+    )
+    return ApproxResult(frame, _within(worst, eps, "suitable frame"), values)
 
 
 def false_ray_near(target: Sequence, eps) -> ApproxResult:
@@ -252,47 +216,22 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
-    unit = _unit(coords)
-    n = len(unit) // 2
-    eps2 = eps * eps
-    # Complete the target to a basis: drop the standard vector with the
-    # largest overlap to keep the completion well conditioned.
-    overlap = [
-        unit[2 * j] * unit[2 * j] + unit[2 * j + 1] * unit[2 * j + 1]
-        for j in range(n)
+    exact = [Fraction(c) for c in coords]
+    n = len(exact) // 2
+    # Leg 2 turns away from the rounded target y by at most the angle between
+    # the TRUE leg and the completion leg it rounds, which is orthogonal to y;
+    # so d <= (sqrt(18m) + sqrt(m/2))/M, and a factor of 2 in M covers it.
+    scale = _scale(eps, len(exact), 2)
+    y = _gaussian_point(exact, scale)
+    # Complete y to a basis: drop the standard vector with the largest
+    # overlap to keep the completion well conditioned.
+    skip = max(range(n), key=lambda j: y[j].abs2())
+    fillers = [
+        GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip
     ]
-    skip = max(range(n), key=lambda j: overlap[j])
-    best: Optional[Fraction] = None
-    for round_no in range(_MAX_ROUNDS):
-        delta, max_den = _budget(eps, len(unit), round_no)
-        ref = _rationalize_coords(unit, max_den)
-        if all(r == 0 for r in ref):
-            continue
-        t_rat = GVector.from_reals(ref)
-        fillers = [GVector.from_reals(r) for r in _standard_basis_floats(n, skip)]
-        # completion legs: t_rat, w2, ..., wn.  Promote w2 to a TRUE ray and
-        # re-orthogonalize with the target approximant second.
-        try:
-            completion = gram_schmidt([t_rat] + fillers)
-            leg_true = nearest_true_ray(
-                completion[1].to_floats(), eps / 8 / (2 ** round_no)
-            )
-            frame = gram_schmidt(
-                [leg_true.object, t_rat] + list(completion[2:])
-            )
-        except (DegenerateInputError, ResourceLimitError):
-            continue
-        values = classify_in_frame(frame)
-        if values.count(TruthValue.TRUE) != 1 or values[0] is not TruthValue.TRUE:
-            continue
-        ray = frame[1]
-        if classify_ray(ray) is TruthValue.TRUE:
-            continue
-        d2 = ray_dist2(ray, t_rat)
-        if d2 <= eps2:
-            return ApproxResult(ray, d2, TruthValue.FALSE, witness=frame)
-        best = d2 if best is None else min(best, d2)
-    raise ResourceLimitError(
-        f"no FALSE ray within eps={eps} after {_MAX_ROUNDS} rounds",
-        achieved_dist2=best,
-    )
+    completion = gram_schmidt([y] + fillers)
+    x = _true_point(completion[1].real_coordinates(), scale)
+    frame = gram_schmidt([x, y] + list(completion[2:]))
+    values = _true_leg_first(frame)
+    d2 = _within(ray_dist2(frame[1], GVector.from_reals(exact)), eps, "FALSE ray")
+    return ApproxResult(frame[1], d2, values[1], witness=frame)

@@ -31,12 +31,6 @@ from .serialize import format_quad_token, parse_quad_token
 _BRUTE_FORCE_LIMIT = 24
 
 
-def _coerce_quad_entry(x) -> QuadComplex:
-    if isinstance(x, QuadComplex):
-        return x
-    return QuadComplex._coerce(x)
-
-
 class RaySet:
     """A labeled list of rays in one dimension, entries in Q(sqrt2)-complex."""
 
@@ -45,7 +39,7 @@ class RaySet:
     def __init__(self, dimension: int, rays: Sequence, labels: Optional[Sequence[str]] = None):
         if not isinstance(dimension, int) or dimension < 2:
             raise InvalidInputError("dimension must be an integer >= 2")
-        rs = tuple(tuple(_coerce_quad_entry(e) for e in ray) for ray in rays)
+        rs = tuple(tuple(QuadComplex._coerce(e) for e in ray) for ray in rays)
         if not rs:
             raise InvalidInputError("a ray set needs at least one ray")
         for k, ray in enumerate(rs):

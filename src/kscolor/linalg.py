@@ -367,19 +367,13 @@ def projector_of(v: GVector) -> GMatrix:
     return GMatrix(((a * b.conjugate()) * inv_n2 for b in v) for a in v)
 
 
-def _coerce_quad_complex(x) -> QuadComplex:
-    if isinstance(x, QuadComplex):
-        return x
-    return QuadComplex._coerce(x)
-
-
 class QuadHermitian:
     """Hermitian matrix with QuadComplex entries, verified exactly."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(_coerce_quad_complex(e) for e in row) for row in rows)
+        rs = tuple(tuple(QuadComplex._coerce(e) for e in row) for row in rows)
         n = len(rs)
         if n < 1 or any(len(r) != n for r in rs):
             raise InvalidInputError("matrix must be square and nonempty")

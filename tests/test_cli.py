@@ -164,6 +164,21 @@ class TestExitCodes:
         assert code == 4
         assert json.loads(err)["type"] == "ResourceLimitError"
 
+    def test_deeply_nested_input_is_2(self):
+        code, out, err = run_main(["classify-ray", "[" * 5000])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("target", ["[1e308,1e308,1,1]", "[1e-320,0,0,0]"])
+    @pytest.mark.parametrize(
+        "command, value", [("approx-true", "TRUE"), ("false-ray", "FALSE")]
+    )
+    def test_extreme_float_target_is_0(self, command, value, target):
+        code, out, err = run_main([command, target])
+        assert code == 0, err
+        assert json.loads(out)["value"] == value
+
     def test_bad_flag_value(self):
         with pytest.raises(SystemExit):
             run_main(["approx-true", "[1,0,0,0,0,0]", "--epsilon", "fast"])

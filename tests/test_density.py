@@ -1,5 +1,5 @@
 """Density constructions: nearest TRUE ray, suitable frames, FALSE rays,
-with exact distance verification against the rationalized targets."""
+with exact distance verification against the binary64 targets."""
 
 import math
 from fractions import Fraction
@@ -23,6 +23,15 @@ BASIS3 = [
     [0, 0, 1.0, 0, 0, 0],
     [0, 0, 0, 0, 1.0, 0],
 ]
+
+
+C, S = math.cos(0.3), math.sin(0.3)
+ROTATED3 = [
+    [C, 0, S, 0, 0, 0],
+    [-S, 0, C, 0, 0, 0],
+    [0, 0, 0, 0, 1.0, 0],
+]
+EXTREME_TARGETS = [[1e308, 1e308, 1.0, 1.0], [1e-320, 0.0, 0.0, 0.0]]
 
 
 def exact_target(floats):
@@ -175,3 +184,32 @@ class TestFalseRayNear:
             res = false_ray_near(target, eps)
             assert res.certificate is TruthValue.FALSE
             assert res.achieved_dist2 <= eps * eps
+
+
+class TestExactCertificates:
+    def test_certificate_is_distance_to_binary64_input(self):
+        target = [0.42, -0.17, 0.55, 0.31, -0.28, 0.49]
+        eps = Fraction(1, 10**4)
+        for construct in (nearest_true_ray, false_ray_near):
+            res = construct(target, eps)
+            assert res.achieved_dist2 == ray_dist2(res.object, exact_target(target))
+        res = suitable_frame_near(ROTATED3, eps)
+        assert res.achieved_dist2 == max(
+            ray_dist2(leg, exact_target(t)) for leg, t in zip(res.object, ROTATED3)
+        )
+
+    @pytest.mark.parametrize("target", EXTREME_TARGETS)
+    def test_extreme_target_true_ray(self, target):
+        eps = Fraction(1, 10**6)
+        res = nearest_true_ray(target, eps)
+        assert classify_ray(res.object) is TruthValue.TRUE
+        assert ray_dist2(res.object, exact_target(target)) <= eps * eps
+
+    @pytest.mark.parametrize("target", EXTREME_TARGETS)
+    def test_extreme_target_false_ray(self, target):
+        eps = Fraction(1, 10**6)
+        res = false_ray_near(target, eps)
+        assert res.certificate is TruthValue.FALSE
+        assert classify_ray(res.object) is not TruthValue.TRUE
+        assert truth_sum(res.witness) == 1
+        assert ray_dist2(res.object, exact_target(target)) <= eps * eps
