@@ -5,17 +5,20 @@ Ray sets live over Q(sqrt2) + i*Q(sqrt2) so classic constructions with
 sqrt(2) coordinates stay exact.  A context is a maximal set of mutually
 orthogonal rays of size equal to the dimension; a coloring assigns 0/1 to
 rays so that no two orthogonal rays are both 1 and every context holds
-exactly one 1.  ``find_ks_coloring`` decides colorability by backtracking
-with unit propagation; ``brute_force_coloring`` is the independent
-cross-check for small instances.  ``perturb_to_suitable`` replaces every
-context by a nearby exactly-suitable frame, showing how shared rays diverge
-into per-context copies.
+exactly one 1.  ``build_graph`` clears each ray once to integer
+coefficients, tests each pair with four integer sums and finds the contexts
+by clique extension over neighbors.  ``find_ks_coloring`` decides
+colorability by backtracking with unit propagation; ``brute_force_coloring``
+is the independent cross-check for small instances.  ``perturb_to_suitable``
+replaces every context by a nearby exactly-suitable frame, showing how
+shared rays diverge into per-context copies.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -79,13 +82,6 @@ class RaySet:
         )
 
 
-def _quad_inner(u, v) -> QuadComplex:
-    acc = QuadComplex(0)
-    for a, b in zip(u, v):
-        acc = acc + a.conjugate() * b
-    return acc
-
-
 @dataclass(frozen=True)
 class OrthGraph:
     """Exact orthogonality structure of a RaySet."""
@@ -100,24 +96,70 @@ class OrthGraph:
         return sum(1 for ctx in self.contexts if i in ctx)
 
 
+def _cleared(ray) -> list[int]:
+    """The 4n coefficients (re.rat, re.sqrt2, im.rat, im.sqrt2 per entry)
+    of ``ray`` times the lcm of their denominators: a positive integer
+    multiple of the ray, so orthogonality is unchanged."""
+    coeffs = [q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]
+    scale = math.lcm(*(q.denominator for q in coeffs))
+    return [q.numerator * (scale // q.denominator) for q in coeffs]
+
+
+def _orth_rows(x: list[int]) -> tuple:
+    """Four integer rows w with <u, v> = 0 exactly when u . w = 0 for all
+    four, where v clears to ``x`` and u is any cleared ray.
+
+    Per entry, u = (a + b*s2) + i(c + d*s2) and v = (e + f*s2) + i(g + h*s2)
+    give conj(u)*v = (ae + 2bf + cg + 2dh) + (af + be + ch + dg)*s2
+    + i[(ag + 2bh - ce - 2df) + (ah + bg - cf - de)*s2]; 1 and sqrt2 are
+    independent over Q, so the inner product vanishes iff all four sums do.
+    """
+    rows = ([], [], [], [])
+    for k in range(0, len(x), 4):
+        e, f, g, h = x[k : k + 4]
+        rows[0].extend((e, 2 * f, g, 2 * h))
+        rows[1].extend((f, e, h, g))
+        rows[2].extend((g, 2 * h, -e, -2 * f))
+        rows[3].extend((h, g, -f, -e))
+    return rows
+
+
 def build_graph(rs: RaySet) -> OrthGraph:
-    """Adjacency by exact inner products; contexts by exhaustive clique
-    enumeration (sets are small)."""
-    n = len(rs)
+    """Adjacency by exact integer orthogonality tests; contexts by clique
+    extension over neighbors.
+
+    Each ray is cleared once to integers, so a pair costs at most four
+    integer dot products.  Contexts grow from each ray by adding higher
+    neighbors in ascending order, keeping only candidates adjacent to every
+    ray already chosen; they come out in lexicographic order.
+    """
+    n, d = len(rs), rs.dimension
+    xs = [_cleared(ray) for ray in rs.rays]
+    rows = [_orth_rows(x) for x in xs]
     nbr = [set() for _ in range(n)]
     pairs = []
     for i in range(n):
+        xi = xs[i]
         for j in range(i + 1, n):
-            if _quad_inner(rs.rays[i], rs.rays[j]).is_zero():
+            if not any(sum(map(operator.mul, xi, w)) for w in rows[j]):
                 pairs.append((i, j))
                 nbr[i].add(j)
                 nbr[j].add(i)
     contexts = []
-    for combo in itertools.combinations(range(n), rs.dimension):
-        if all(b in nbr[a] for a, b in itertools.combinations(combo, 2)):
-            contexts.append(combo)
+    stack = [((), tuple(range(n)))]
+    while stack:
+        clique, cands = stack.pop()
+        if len(clique) == d:
+            contexts.append(clique)
+            continue
+        # Push children last-first so they pop in ascending order; skip
+        # those left with too few candidates to reach size d.
+        for k in range(len(cands) - (d - len(clique)), -1, -1):
+            j = cands[k]
+            rest = tuple(c for c in cands[k + 1 :] if c in nbr[j])
+            stack.append((clique + (j,), rest))
     return OrthGraph(
-        dimension=rs.dimension,
+        dimension=d,
         num_rays=n,
         pairs=tuple(pairs),
         neighbors=tuple(frozenset(s) for s in nbr),
@@ -384,6 +426,13 @@ def _format_component(e: QuadComplex) -> str:
     return f"{format_quad_token(e.re)},{format_quad_token(e.im)}"
 
 
+def _header_int(token: str, ln: str) -> int:
+    try:
+        return int(token)
+    except ValueError as exc:
+        raise InvalidInputError(f"header value is not an integer: {ln!r}") from exc
+
+
 def load_rayset(text: str) -> RaySet:
     """Parse the ray-set text format and run its self-checks.
 
@@ -408,16 +457,20 @@ def load_rayset(text: str) -> RaySet:
     for ln in lines[1:]:
         parts = ln.split()
         key = parts[0]
+        if key in ("dimension", "field", "contexts", "pairs") and len(parts) != 2:
+            raise InvalidInputError(f"{key!r} header takes one value: {ln!r}")
         if key == "dimension":
-            dimension = int(parts[1])
+            dimension = _header_int(parts[1], ln)
+            if dimension < 2:
+                raise InvalidInputError("dimension must be an integer >= 2")
         elif key == "field":
             field = parts[1]
             if field not in ("rational", "quad2"):
                 raise InvalidInputError(f"unknown field {field!r}")
         elif key == "contexts":
-            want_contexts = int(parts[1])
+            want_contexts = _header_int(parts[1], ln)
         elif key == "pairs":
-            want_pairs = int(parts[1])
+            want_pairs = _header_int(parts[1], ln)
         elif key == "ray":
             if dimension is None or field is None:
                 raise InvalidInputError("ray line before dimension/field headers")

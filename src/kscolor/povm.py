@@ -268,7 +268,9 @@ def _rationalize_hermitian(rows: list[list[complex]], max_den: int) -> QuadHermi
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            z = (rows[i][j] + rows[j][i].conjugate()) / 2
+            # Halve before adding, so finite entries near the float limit
+            # do not overflow; halving is exact for normal floats.
+            z = rows[i][j] / 2 + rows[j][i].conjugate() / 2
             re = rationalize(z.real, max_den)
             im = Fraction(0) if i == j else rationalize(z.imag, max_den)
             out[i][j] = QuadComplex(QuadRational(re), QuadRational(im))

@@ -48,7 +48,7 @@ def parse_quad_token(s: str) -> QuadRational:
     m = _QUAD_TOKEN.match(s)
     if not m or (m.group("rat") is None and m.group("s2") is None):
         raise InvalidInputError(f"bad Q(sqrt2) token: {s!r}")
-    rat = Fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+    rat = parse_fraction(m.group("rat")) if m.group("rat") else Fraction(0)
     s2 = Fraction(0)
     if m.group("s2"):
         coef = m.group("s2")[:-2]
@@ -57,7 +57,7 @@ def parse_quad_token(s: str) -> QuadRational:
         elif coef == "-":
             s2 = Fraction(-1)
         else:
-            s2 = Fraction(coef)
+            s2 = parse_fraction(coef)
     return QuadRational(rat, s2)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: output bytes, exit codes, formats, input
 conventions, and seeded generators."""
 
+import hashlib
 import io
 import json
 import os
@@ -178,6 +179,29 @@ class TestExitCodes:
         code, out, err = run_main([command, target])
         assert code == 0, err
         assert json.loads(out)["value"] == value
+
+    @pytest.mark.parametrize(
+        "bad_line", ["dimension abc", "dimension", "ray a 1/0 1"]
+    )
+    def test_malformed_rayset_on_stdin_is_2(self, bad_line):
+        text = f"rayset v1\nfield rational\ndimension 2\n{bad_line}\n"
+        code, out, err = run_main(["ks-solve", "-"], stdin=text)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert doc["error"]
+
+    def test_povm_entry_near_float_limit_names_real_fault(self):
+        code, out, err = run_main(
+            ["make-suitable-povm", "[[[1e308,0],[0,1]],[[1,0],[0,1]]]",
+             "--epsilon", "1/100"]
+        )
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert "sum to the identity" in doc["error"]
 
     def test_bad_flag_value(self):
         with pytest.raises(SystemExit):
@@ -391,6 +415,15 @@ class TestByteStability:
             assert code == 0
             outs.add(out)
         assert len(outs) == 1
+
+    def test_ks_perturb_peres33_bytes_pinned(self):
+        """Pins context order and every perturbed frame of the peres33
+        nullification report."""
+        code, out, _ = run_main(["ks-perturb", "peres33", "--epsilon", "1/10000"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "f6cb9e784fe5f64f62e716b642675746cc6e68d29e32e39fbc07e38a8f575cc1"
+        )
 
     def test_keys_sorted_and_compact(self):
         _, out, _ = run_main(["ks-solve", "peres33"])

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kscolor.coloring import TruthValue
 from kscolor.errors import InvalidInputError
@@ -68,6 +70,25 @@ class TestRaySet:
         assert back.labels == rs.labels
         assert back.rays == rs.rays
 
+    @pytest.mark.parametrize(
+        "header", ["dimension abc", "contexts x", "pairs x"]
+    )
+    def test_non_integer_header_rejected(self, header):
+        text = f"rayset v1\n{header}\nfield rational\ndimension 2\nray a 1 0\n"
+        with pytest.raises(InvalidInputError):
+            load_rayset(text)
+
+    @pytest.mark.parametrize("key", ["dimension", "field", "contexts", "pairs"])
+    def test_header_without_value_rejected(self, key):
+        text = f"rayset v1\ndimension 2\nfield rational\n{key}\nray a 1 0\n"
+        with pytest.raises(InvalidInputError):
+            load_rayset(text)
+
+    def test_zero_denominator_component_rejected(self):
+        text = "rayset v1\ndimension 2\nfield rational\nray a 1/0 1\n"
+        with pytest.raises(InvalidInputError):
+            load_rayset(text)
+
     def test_header_self_checks(self):
         rs = load_builtin("peres24")
         text = dump_rayset(rs)
@@ -89,6 +110,118 @@ class TestGraph:
         assert g.pairs  # non-empty
         # all contexts have exactly `dimension` members
         assert all(len(c) == rs.dimension for c in g.contexts)
+
+
+def _reference_graph(rs):
+    """Orthogonality by QuadComplex conjugate inner products, contexts by
+    testing every C(n, d) subset: the definitions, written out slowly."""
+
+    def inner(u, v):
+        acc = QuadComplex(0)
+        for a, b in zip(u, v):
+            acc = acc + a.conjugate() * b
+        return acc
+
+    n = len(rs)
+    pairs = [
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if inner(rs.rays[i], rs.rays[j]).is_zero()
+    ]
+    nbr = [set() for _ in range(n)]
+    for i, j in pairs:
+        nbr[i].add(j)
+        nbr[j].add(i)
+    contexts = [
+        combo
+        for combo in itertools.combinations(range(n), rs.dimension)
+        if all(b in nbr[a] for a, b in itertools.combinations(combo, 2))
+    ]
+    return tuple(pairs), tuple(frozenset(s) for s in nbr), tuple(contexts)
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(2, 9))
+
+
+def _random_quad(rng):
+    return QuadRational(_random_fraction(rng), _random_fraction(rng))
+
+
+def _random_scalar(rng):
+    """A nonzero QuadComplex with non-unit denominators, usually with a
+    sqrt2 part and an imaginary part."""
+    while True:
+        z = QuadComplex(_random_quad(rng), _random_quad(rng))
+        if not z.is_zero():
+            return z
+
+
+def _scalars(rng, rays):
+    """(ray, scalar) pairs: each ray with a random scalar or, one time in
+    five, twice: with a Gaussian-rational z and with z times i or i*sqrt2,
+    so that the two copies' inner product is purely imaginary."""
+    out = []
+    for ray in rays:
+        if rng.random() < 0.2:
+            z = QuadComplex(Fraction(rng.randint(1, 9), 7), _random_fraction(rng))
+            phase = QuadComplex(0, rng.choice([QuadRational(1), QuadRational(0, 1)]))
+            out += [(ray, z), (ray, z * phase)]
+        else:
+            out.append((ray, _random_scalar(rng)))
+    return out
+
+
+def _turn(ray):
+    """The unitary [[3/5, 4i/5], [4i/5, 3/5]] on the first two entries:
+    orthogonality is kept, and real rays become genuinely complex."""
+    c = QuadComplex(Fraction(3, 5))
+    s = QuadComplex(0, Fraction(4, 5))
+    a, b = ray[0], ray[1]
+    return [c * a + s * b, s * a + c * b, *ray[2:]]
+
+
+class TestIntegerKernel:
+    def test_matches_reference_on_scaled_complex_sets(self):
+        """Whole contexts and single rays of peres33 or peres24 plus random
+        rays, shuffled, each times a random Q(sqrt2)-complex scalar, some
+        duplicated, half of the sets turned by a complex unitary: the
+        cleared integer test and clique extension agree with the
+        definitions, context order included."""
+        rng = random.Random(2024)
+        bases = []
+        for name in ("peres33", "peres24"):
+            base = load_builtin(name)
+            bases.append((base, _reference_graph(base)[2]))
+        for trial in range(40):
+            base, base_contexts = rng.choice(bases)
+            dim = base.dimension
+            picked = set(rng.sample(range(len(base)), rng.randint(0, 4)))
+            for ctx in rng.sample(base_contexts, rng.randint(0, 3)):
+                picked.update(ctx)
+            rays = [base.rays[i] for i in picked]
+            for _ in range(rng.randint(0, 3)):
+                ray = [
+                    QuadComplex(_random_quad(rng), _random_quad(rng))
+                    for _ in range(dim)
+                ]
+                if not all(e.is_zero() for e in ray):
+                    rays.append(ray)
+            if not rays:
+                continue
+            if trial % 2:
+                rays = [_turn(ray) for ray in rays]
+            scaled = [[e * z for e in ray] for ray, z in _scalars(rng, rays)]
+            rng.shuffle(scaled)
+            rs = RaySet(dim, scaled)
+            g = build_graph(rs)
+            assert (g.pairs, g.neighbors, g.contexts) == _reference_graph(rs)
+
+    @pytest.mark.parametrize("name", ["peres33", "peres24"])
+    def test_matches_reference_on_builtins(self, name):
+        rs = load_builtin(name)
+        g = build_graph(rs)
+        assert (g.pairs, g.neighbors, g.contexts) == _reference_graph(rs)
 
 
 class TestSolver:
@@ -184,3 +317,47 @@ class TestPerturb:
         rs = rational_rayset([(1, 0, 0), (0, 1, 0)], 3)
         with pytest.raises(InvalidInputError):
             perturb_to_suitable(rs, Fraction(1, 100))
+
+
+_GOOD_TOKENS = ["0", "1", "-1", "1/2", "-3/4", "s2", "-s2", "1+s2",
+                "1/2-1/3s2", "1,1", "s2,-1/2"]
+_BAD_TOKENS = ["1/0", "0/0s2", ",", "1,2,3", "abc", "1e3", "-"]
+_ODD_LINES = ["dimension abc", "dimension -1", "dimension", "dimension 3",
+              "field", "field complex", "field rational", "contexts 1",
+              "contexts x", "pairs 2", "pairs", "ray", "ray a", "ray a 1 0",
+              "rayset v1", "# comment", "unknown 1"]
+
+
+@st.composite
+def _rayset_lines(draw):
+    """A small ray-set body, well formed more often than not, with odd
+    lines of directive keywords, labels and quad tokens inserted."""
+    dim = draw(st.integers(2, 3))
+    field = draw(st.sampled_from(["field quad2", "field rational"]))
+    lines = [f"dimension {dim}", field]
+    for label in "abcd"[: draw(st.integers(1, 4))]:
+        tokens = draw(
+            st.lists(
+                st.sampled_from(_GOOD_TOKENS * 3 + _BAD_TOKENS),
+                min_size=dim,
+                max_size=dim,
+            )
+        )
+        lines.append(" ".join(["ray", label, *tokens]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_ODD_LINES)))
+    return lines
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_rayset_lines())
+    def test_load_rayset_returns_or_raises_invalid_input(self, lines):
+        """The parser returns a RaySet or raises InvalidInputError, nothing
+        else."""
+        try:
+            rs = load_rayset("\n".join(["rayset v1", *lines]))
+        except InvalidInputError:
+            return
+        assert isinstance(rs, RaySet)
