@@ -74,7 +74,6 @@ from .povm import (
     classify_with_witness,
     is_suitable,
     make_suitable_near,
-    sqrt2_balance,
 )
 
 __version__ = "0.1.0"
@@ -134,7 +133,6 @@ __all__ = [
     "rationalize",
     "ray_dist2",
     "same_ray",
-    "sqrt2_balance",
     "suitable_frame_near",
     "truth_sum",
     "v3",

@@ -24,8 +24,6 @@ from fractions import Fraction
 
 from . import __version__
 from .coloring import (
-    ProjectionRep,
-    TruthValue,
     classify_in_frame,
     classify_projection_matrix,
     classify_ray,
@@ -45,7 +43,6 @@ from .kscheck import (
     load_rayset,
     perturb_to_suitable,
 )
-from .linalg import Frame
 from .povm import classify_with_witness, make_suitable_near
 from .povm import truth_sum as povm_truth_sum
 from .serialize import (
@@ -206,16 +203,17 @@ def _vector_in(obj):
 
 
 def _real_number(e) -> float:
-    if isinstance(e, str):
+    if isinstance(e, bool) or not isinstance(e, (str, int)):
+        raise InvalidInputError(f"not a real number: {e!r}")
+    try:
+        if isinstance(e, int):
+            return float(e)
         try:
             return float(parse_fraction(e))
         except InvalidInputError:
             return parse_quad_token(e).to_float()
-    if isinstance(e, bool) or e is None:
-        raise InvalidInputError(f"not a real number: {e!r}")
-    if isinstance(e, int):
-        return float(e)
-    raise InvalidInputError(f"not a real number: {e!r}")
+    except OverflowError:
+        raise InvalidInputError(f"number outside the binary64 range: {e!r}") from None
 
 
 def _float_target(obj) -> list:

@@ -20,9 +20,10 @@ class NotApplicableError(KscolorError, ValueError):
 
 
 class ResourceLimitError(KscolorError, RuntimeError):
-    """An iterative construction exhausted its refinement budget (exit code 4).
+    """A construction missed its proven bound, or an iterative one exhausted
+    its budget (exit code 4).
 
-    Carries the best exactly-computed distance reached, when one exists, so
+    Carries the exactly computed distance reached, when one exists, so
     callers can report how close the construction got.
     """
 

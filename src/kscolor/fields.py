@@ -23,6 +23,8 @@ from fractions import Fraction
 from .errors import InvalidInputError
 
 INF = math.inf
+# floor(sqrt2 * 2^96) / 2^96, within 2^-96 of sqrt2.
+_SQRT2 = Fraction(math.isqrt(2 << 192), 1 << 96)
 
 
 def rational(num, den=1) -> Fraction:
@@ -300,7 +302,19 @@ class QuadRational:
         return not self.is_zero()
 
     def to_float(self) -> float:
-        return float(self.rat) + float(self.sqrt2) * math.sqrt(2)
+        """a + b*sqrt2 rounded to binary64, to about 96 bits before rounding.
+
+        Parts of opposite sign go through (a^2 - 2b^2)/(a - b*sqrt2), whose
+        numerator is exact and whose denominator adds like-signed terms, so
+        nothing cancels; all of it is rational, so large parts of a small
+        value never overflow.
+        """
+        a, b = self.rat, self.sqrt2
+        if not b:
+            return float(a)
+        if a and (a < 0) != (b < 0):
+            return float((a * a - 2 * b * b) / (a - b * _SQRT2))
+        return float(a + b * _SQRT2)
 
     def __repr__(self):
         return f"QuadRational({self.rat!r}, {self.sqrt2!r})"

@@ -3,16 +3,26 @@
 Elements carry exact Q(sqrt2)-complex entries.  An element is TRUE when the
 sqrt2-component of its (1,1) entry is strictly positive; a decomposition
 (elements summing exactly to the identity) is suitable when precisely one
-element is TRUE.  ``make_suitable_near`` perturbs an arbitrary float POVM
-into an exactly suitable one within a prescribed distance, and
-``classify_with_witness`` decides falsity by exhibiting a suitable
-decomposition containing the element whenever one exists.
+element is TRUE.  ``classify_with_witness`` decides falsity by exhibiting a
+suitable decomposition containing the element whenever one exists.
+
+``make_suitable_near`` is one construction at a scale fixed up front, with
+no retry budget.  The exact Hermitian part of each of the m targets (n by
+n) is blended toward I/m by theta, which leaves a PSD margin theta/m, and
+rounded onto the lattice Z[i]/L; the last element is I minus the others.
+Rounding moves the last element by at most (m - 1)n/(sqrt2 L) in Frobenius
+norm and the others by less, and moving delta*sqrt2 at entry (1,1) costs
+delta*sqrt2.  L >= 4mn * max(m/theta, 1/eps) and delta = theta/(8m) keep
+both below half the margin and, with the blend's theta*|T - I/m| < eps/4,
+the distance below eps/2.  Distances are measured exactly against the
+caller's binary64 entries, so targets that are Hermitian, PSD or sum to I
+only to the input tolerance can still miss: ResourceLimitError then
+carries the achieved distance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,9 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import QuadComplex, QuadRational, rationalize
-from .linalg import QuadHermitian, frob_dist2, psd_check
-
-_MAX_ROUNDS = 40
+from .linalg import QuadHermitian, psd_check
 
 
 class PovmElement:
@@ -144,29 +152,20 @@ def _e11_slice(n: int, value: QuadRational) -> QuadHermitian:
     return QuadHermitian(rows)
 
 
-def _sqrt2_under_convergents():
-    # Lower convergents of sqrt(2): 1/1, 7/5, 41/29, ... each a strict
-    # under-approximation, converging linearly.
-    a, b = 1, 1
-    while True:
-        yield Fraction(a, b)
-        a, b = 3 * a + 4 * b, 2 * a + 3 * b
-
-
 def classify_with_witness(
     a: PovmElement,
 ) -> tuple[TruthValue, Optional[PovmDecomposition]]:
     """Settle the truth value of an element, producing a witness for FALSE.
 
     A non-TRUE element is FALSE exactly when some suitable decomposition
-    contains it, which happens iff I - A is PSD with a strictly positive
-    (1,1) entry: then the complement splits as lam*(I-A) + (1-lam)*(I-A)
-    with lam in Q(sqrt2) chosen to make exactly one part TRUE.  The slice
-    candidate {A, delta*sqrt2*E11, I - A - delta*sqrt2*E11} is tried first
-    since it usually yields a simpler witness.  When the (1,1) entry of
-    I - A is zero (or I - A is not PSD), every PSD complement is forced to
-    a zero (1,1) entry, no element of it can be TRUE, and the result is
-    UNDETERMINED-NO-WITNESS.
+    contains it, which happens iff the complement C = I - A is PSD with a
+    strictly positive (1,1) entry mu.  The slice {A, delta*sqrt2*E11,
+    C - delta*sqrt2*E11} with delta near mu/3 is tried once, since it
+    usually gives the simpler witness.  Otherwise C splits as
+    lam*C + (1 - lam)*C with lam in Q(sqrt2) given in closed form (see
+    below), so that exactly the first part is TRUE.  When mu is zero (or C
+    is not PSD), every PSD complement is forced to a zero (1,1) entry, no
+    element of it can be TRUE, and the result is UNDETERMINED-NO-WITNESS.
     """
     if not isinstance(a, PovmElement):
         a = PovmElement(a)
@@ -180,45 +179,28 @@ def classify_with_witness(
     if mu.sign() == 0:
         return TruthValue.UNDETERMINED_NO_WITNESS, None
 
-    # Slice candidate with geometric delta search.
-    delta = Fraction(rationalize(mu.to_float() / 3, 10 ** 6))
-    for _ in range(_MAX_ROUNDS):
-        if delta <= 0:
-            break
-        third = complement - _e11_slice(n, QuadRational(0, delta))
+    # The third element keeps the sqrt2 part mu.sqrt2 - delta of the corner,
+    # so it is not TRUE when delta >= mu.sqrt2.
+    delta = rationalize(mu.to_float() / 3, 10 ** 6)
+    if 0 < delta and mu.sqrt2 <= delta:
+        bump = _e11_slice(n, QuadRational(0, delta))
+        third = complement - bump
         if psd_check(third):
-            cand = [
-                a.matrix,
-                _e11_slice(n, QuadRational(0, delta)),
-                third,
-            ]
-            n_true = sum(
-                1
-                for m in cand
-                if m.entry(0, 0).re.sqrt2 > 0
-            )
-            if n_true == 1:
-                return TruthValue.FALSE, PovmDecomposition(cand)
-        delta = delta / 2
+            return TruthValue.FALSE, PovmDecomposition([a, bump, third])
 
-    # Scaled-complement fallback: lam*mu = x + y*sqrt2 with y exceeding the
-    # sqrt2-component of mu (so the remainder cannot be TRUE) and x a
-    # rational making 0 < lam*mu < mu.
-    y = max(mu.sqrt2, Fraction(0)) + 1
-    lam_mu = None
-    for under in _sqrt2_under_convergents():
-        cand = QuadRational(-y * under, y)  # y*(sqrt2 - under) > 0
-        if (mu - cand).sign() > 0:
-            lam_mu = cand
-            break
-        if under.denominator > 10 ** 400:
-            break
-    if lam_mu is None:
-        raise ResourceLimitError("could not place the scaled complement below mu")
-    lam = lam_mu / mu
-    part_true = complement.scaled(lam)
-    part_rest = complement.scaled(QuadRational(1) - lam)
-    witness = PovmDecomposition([a.matrix, part_true, part_rest])
+    # Scaled complement: lam*mu = y*(sqrt2 - r) with the integer y above
+    # mu.sqrt2 (so the remainder's sqrt2 part mu.sqrt2 - y is negative) and
+    # r = isqrt(2b^2)/b, so 0 < sqrt2 - r < 1/b.  Writing mu = (P + Q*sqrt2)/D
+    # in integers, |P^2 - 2Q^2| >= 1 gives mu >= 1/(D(|P| + 2|Q|)), and
+    # b = y*D(|P| + 2|Q|) + 1 puts lam*mu strictly between 0 and mu.
+    y = max(math.floor(mu.sqrt2), 0) + 1
+    den = math.lcm(mu.rat.denominator, mu.sqrt2.denominator)
+    p, q = int(mu.rat * den), int(mu.sqrt2 * den)
+    b = y * den * (abs(p) + 2 * abs(q)) + 1
+    lam = QuadRational(-y * Fraction(math.isqrt(2 * b * b), b), y) / mu
+    witness = PovmDecomposition(
+        [a, complement.scaled(lam), complement.scaled(1 - lam)]
+    )
     if not is_suitable(witness):
         raise AssertionError("scaled-complement witness failed suitability")
     return TruthValue.FALSE, witness
@@ -316,17 +298,56 @@ def _try_exact_passthrough(targets) -> Optional[PovmDecomposition]:
     return None
 
 
+def _lattice_point(mat, weight: Fraction, shift: Fraction, scale: int):
+    """Numerator pairs (re, im), over ``scale``, of the Gaussian-integer
+    lattice point nearest to weight*H + shift*I, for H the exact Hermitian
+    part of the binary64 matrix ``mat``."""
+    n = len(mat)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = mat[i][j], mat[j][i]
+            re = (Fraction(a.real) + Fraction(b.real)) / 2 * weight
+            im = (Fraction(a.imag) - Fraction(b.imag)) / 2 * weight
+            if i == j:
+                re += shift
+            x, y = round(re * scale), round(im * scale)
+            out[i][j], out[j][i] = (x, y), (x, -y)
+    return out
+
+
+def _element(point, scale: int, corner_sqrt2: Fraction) -> QuadHermitian:
+    rows = [[QuadComplex(Fraction(x, scale), Fraction(y, scale)) for x, y in row]
+            for row in point]
+    corner = QuadRational(Fraction(point[0][0][0], scale), corner_sqrt2)
+    rows[0][0] = QuadComplex(corner)
+    return QuadHermitian(rows)
+
+
+def _dist2(w: QuadHermitian, target) -> QuadRational:
+    """Exact squared Frobenius distance to a binary64 complex matrix."""
+    acc = QuadRational(0)
+    for row, trow in zip(w.rows, target):
+        for e, z in zip(row, trow):
+            dr, di = e.re - Fraction(z.real), e.im - Fraction(z.imag)
+            acc = acc + dr * dr + di * di
+    return acc
+
+
 def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposition:
     """An exactly suitable decomposition elementwise within eps of the
     targets.
 
     Targets are float Hermitian matrices summing approximately to the
-    identity (each PSD and the sum checked to 1e-8).  Already-suitable exact
-    input (QuadHermitian elements) is returned unchanged.  The construction
-    blends each target toward I/m to create a PSD margin, rationalizes,
-    repairs the sum through the last element, then moves delta*sqrt2 at
-    entry (1,1) from a margin-positive donor to the element with the largest
-    (1,1) entry, verifying PSD, suitability, and distances exactly.
+    identity (each Hermitian and PSD, and the sum checked, to 1e-8).
+    Already-suitable exact input (QuadHermitian elements) is returned
+    unchanged; other exact input goes through its binary64 image.  One
+    lattice construction at the scale L (module docstring), no rounds:
+    delta*sqrt2 at entry (1,1) moves from a donor to the element with the
+    largest (1,1) entry, the only TRUE one.  PSD, the exact sum and
+    suitability are checked once; each element's distance is certified
+    exactly against the caller's binary64 entries, and a miss raises
+    ResourceLimitError carrying the worst ``achieved_dist2``.
 
     Without ``allow_split`` a decomposition that lacks two elements with
     positive (1,1) entries (for instance {I}) raises DegenerateInputError;
@@ -344,15 +365,8 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
     if all(isinstance(t, (QuadHermitian, PovmElement)) for t in targets):
         # Exact but not already suitable: perturb through the float path.
         targets = [
-            [
-                [
-                    (t.matrix if isinstance(t, PovmElement) else t)
-                    .entry(i, j)
-                    .to_complex()
-                    for j in range(t.n)
-                ]
-                for i in range(t.n)
-            ]
+            [[e.to_complex() for e in row]
+             for row in (t.matrix if isinstance(t, PovmElement) else t).rows]
             for t in targets
         ]
     mats = _validate_povm_targets(targets)
@@ -361,95 +375,65 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
         raise InvalidInputError("eps must be positive")
     m = len(mats)
     n = len(mats[0])
-    eps2 = QuadRational(eps * eps)
 
-    dev = 0.0
-    for k, mat in enumerate(mats):
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                want = (1.0 / m) if i == j else 0.0
-                acc += abs(mat[i][j] - want) ** 2
-        dev = max(dev, math.sqrt(acc))
-    theta0 = min(Fraction(1, 4), eps / Fraction(rationalize(4 * (dev + 1), 100)))
-
-    for round_no in range(_MAX_ROUNDS):
-        theta = theta0 / (2 ** round_no)
-        max_den = max(
-            math.ceil(16 * m * m * n / theta),
-            math.ceil(Fraction(8 * m * n) / eps),
-        )
-        refs = [_rationalize_hermitian(mat, max_den) for mat in mats]
-        blended = []
-        for mat in mats:
-            b = [
-                [
-                    (1 - float(theta)) * mat[i][j]
-                    + (float(theta) / m if i == j else 0.0)
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            blended.append(_rationalize_hermitian(b, max_den))
-        total = QuadHermitian.zeros(n)
-        for b in blended[:-1]:
-            total = total + b
-        blended[-1] = QuadHermitian.identity(n) - total
-
-        a11s = [b.entry(0, 0).re.rat for b in blended]
-        order = sorted(range(m), key=lambda k: (-a11s[k], k))
-        split = False
-        recipient = order[0]
-        donor = next((k for k in order[1:] if a11s[k] > 0), None)
-        if a11s[recipient] <= 0 or donor is None:
-            if not allow_split:
-                raise DegenerateInputError(
-                    "no pair of elements with positive (1,1) margin; "
-                    "pass allow_split=True to append a fresh element"
-                )
-            if a11s[recipient] <= 0:
-                raise DegenerateInputError(
-                    "no element with positive (1,1) entry to donate from"
-                )
-            split = True
-            donor = recipient
-
-        delta = min(theta / (8 * m), Fraction(a11s[donor]) / 8)
-        for _ in range(12):
-            if delta <= 0:
-                break
-            bump = _e11_slice(n, QuadRational(0, delta))
-            work = list(blended)
-            work[donor] = work[donor] - bump
-            if split:
-                work.append(bump)
-            else:
-                work[recipient] = work[recipient] + bump
-            if all(psd_check(w) for w in work):
-                try:
-                    cand = PovmDecomposition(work)
-                except InvalidInputError:
-                    break
-                if not is_suitable(cand):
-                    break
-                dists = [
-                    frob_dist2(w, r) for w, r in zip(work[: len(refs)], refs)
-                ]
-                if split:
-                    dists.append(frob_dist2(work[-1], QuadHermitian.zeros(n)))
-                if all((eps2 - d).sign() >= 0 for d in dists):
-                    return cand
-                break
-            delta = delta / 2
-    raise ResourceLimitError(
-        f"no suitable decomposition within eps={eps} after {_MAX_ROUNDS} rounds"
+    dev = max(
+        math.sqrt(sum(abs(t[i][j] - (i == j) / m) ** 2
+                      for i in range(n) for j in range(n)))
+        for t in mats
     )
+    theta = min(Fraction(1, 4), eps / Fraction(rationalize(4 * (dev + 1), 100)))
+    scale = math.ceil(4 * m * n * max(m / theta, 1 / eps))
+    points = [_lattice_point(t, 1 - theta, theta / m, scale) for t in mats[:-1]]
+    # The last element is I minus the others, so the sum is exact.
+    points.append([
+        [(scale * (i == j) - sum(p[i][j][0] for p in points),
+          -sum(p[i][j][1] for p in points)) for j in range(n)]
+        for i in range(n)
+    ])
 
+    a11s = [p[0][0][0] for p in points]
+    order = sorted(range(m), key=lambda k: (-a11s[k], k))
+    split = False
+    recipient = order[0]
+    donor = next((k for k in order[1:] if a11s[k] > 0), None)
+    if a11s[recipient] <= 0 or donor is None:
+        if not allow_split:
+            raise DegenerateInputError(
+                "no pair of elements with positive (1,1) margin; "
+                "pass allow_split=True to append a fresh element"
+            )
+        if a11s[recipient] <= 0:
+            raise DegenerateInputError(
+                "no element with positive (1,1) entry to donate from"
+            )
+        split = True
+        donor = recipient
 
-def sqrt2_balance(d: PovmDecomposition) -> Fraction:
-    """Sum of the sqrt2-components of the (1,1) entries; exactly zero for
-    every decomposition since the entries sum to 1."""
-    total = Fraction(0)
-    for e in d:
-        total += e.a11().sqrt2
-    return total
+    delta = theta / (8 * m)
+    corners = [Fraction(0)] * m
+    corners[donor] -= delta
+    if not split:
+        corners[recipient] += delta
+    work = [_element(p, scale, c) for p, c in zip(points, corners)]
+    refs = list(mats)
+    if split:
+        work.append(_e11_slice(n, QuadRational(0, delta)))
+        refs.append([[0j] * n for _ in range(n)])
+    worst = max(_dist2(w, r) for w, r in zip(work, refs))
+    if worst > eps * eps:
+        raise ResourceLimitError(
+            f"no suitable decomposition within eps={eps}: "
+            f"the lattice point lies at d^2={worst}",
+            achieved_dist2=worst,
+        )
+    try:
+        dec = PovmDecomposition(work)
+    except InvalidInputError as exc:
+        raise ResourceLimitError(
+            f"no suitable decomposition within eps={eps}: the targets are "
+            f"not PSD (or do not sum to I) within the margin theta/m",
+            achieved_dist2=worst,
+        ) from exc
+    if not is_suitable(dec):
+        raise AssertionError("the lattice decomposition failed suitability")
+    return dec

@@ -181,6 +181,23 @@ class TestExitCodes:
         assert json.loads(out)["value"] == value
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx-true", "[1e400,0,0,0]"],
+            ["false-ray", f"[1,-{10**400}s2,0,0]"],
+            ["make-suitable-povm", '[[["1e400",0],[0,1]],[[1,0],[0,1]]]'],
+            ["make-suitable-povm", "[[[0,[1,1e400]],[0,1]],[[1,0],[0,0]]]"],
+        ],
+    )
+    def test_number_outside_binary64_is_2(self, argv):
+        code, out, err = run_main(argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert "binary64" in doc["error"]
+
+    @pytest.mark.parametrize(
         "bad_line", ["dimension abc", "dimension", "ray a 1/0 1"]
     )
     def test_malformed_rayset_on_stdin_is_2(self, bad_line):

@@ -239,3 +239,13 @@ class TestComplexScalars:
         assert math.isclose(q.to_float(), 1 + math.sqrt(2))
         z = GaussianRational(Fraction(1, 2), Fraction(1, 4))
         assert z.to_complex() == complex(0.5, 0.25)
+
+    @pytest.mark.parametrize("k", [1, 2, 40, 41, 1000])
+    def test_to_float_without_cancellation_or_overflow(self, k):
+        # (sqrt2 - 1)^k = p + q*sqrt2 with |p| and |q| near (1 + sqrt2)^k / 2:
+        # the value is tiny, its parts are huge and of opposite sign.
+        p, q = 1, 0
+        for _ in range(k):
+            p, q = 2 * q - p, p - q
+        ref = p + q * Fraction(math.isqrt(2 * 10**2000), 10**1000)
+        assert QuadRational(p, q).to_float() == float(ref)

@@ -11,6 +11,7 @@ from kscolor.errors import (
     DegenerateInputError,
     InvalidInputError,
     NotApplicableError,
+    ResourceLimitError,
 )
 from kscolor.fields import QuadComplex, QuadRational
 from kscolor.linalg import QuadHermitian, frob_dist2, psd_check
@@ -21,11 +22,25 @@ from kscolor.povm import (
     classify_with_witness,
     is_suitable,
     make_suitable_near,
-    sqrt2_balance,
     truth_sum,
 )
 
 HALF = Fraction(1, 2)
+
+
+def silver_power(k):
+    """(sqrt2 - 1)^k, exactly: tiny, with huge parts of opposite sign."""
+    p, q = 1, 0
+    for _ in range(k):
+        p, q = 2 * q - p, p - q
+    return QuadRational(p, q)
+
+
+def identity_minus_tj(t, scale=1):
+    """scale * (I - tJ), J the all-ones 2x2 matrix."""
+    a = QuadComplex(scale * (1 - t))
+    b = QuadComplex(scale * (-t))
+    return QuadHermitian([[a, b], [b, a]])
 
 
 def qc(rat=0, s2=0):
@@ -97,10 +112,6 @@ class TestDecomposition:
         with pytest.raises(NotApplicableError):
             truth_sum(d)
 
-    def test_sqrt2_balance_of_any_decomposition_is_zero(self):
-        d = PovmDecomposition([PovmElement(REST), PovmElement(SLICE)])
-        assert sqrt2_balance(d) == Fraction(0)
-
 
 class TestClassifyWithWitness:
     def test_true_element_needs_no_witness(self):
@@ -152,6 +163,17 @@ class TestClassifyWithWitness:
     def test_witness_membership(self):
         value, witness = classify_with_witness(diag(HALF, 1, 1))
         assert any(e.matrix == diag(HALF, 1, 1) for e in witness)
+
+    @pytest.mark.parametrize("k", [3, 41, 1001])
+    def test_tiny_complement_gets_a_witness(self, k):
+        # I - tJ with t = (sqrt2 - 1)^k, k odd, is not TRUE; its complement
+        # tJ is rank 1, so the slice fails and the scaled split must carry
+        # a corner far below the binary64 range at k = 1001.
+        a = identity_minus_tj(silver_power(k))
+        value, witness = classify_with_witness(a)
+        assert value is TruthValue.FALSE
+        assert is_suitable(witness)
+        assert any(e.matrix == a for e in witness)
 
     def test_psd_forces_vanishing_row_when_corner_is_zero(self):
         # mechanical core of the no-witness case: if a PSD matrix has zero
@@ -282,3 +304,28 @@ class TestMakeSuitableNear:
         bad = [[[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]]
         with pytest.raises(InvalidInputError):
             make_suitable_near(bad, Fraction(1, 100))
+
+    def test_distance_certified_against_non_hermitian_input(self):
+        # Hermitian only to 1e-8: the anti-Hermitian part alone puts every
+        # exact Hermitian matrix at d^2 = 2 * (2.5e-9)^2 = 1.25e-17 or more.
+        targets = [
+            [[0.5, 0.1], [0.1 + 5e-9, 0.5]],
+            [[0.5, -0.1], [-0.1 - 5e-9, 0.5]],
+        ]
+        eps = Fraction(1, 10**10)
+        with pytest.raises(ResourceLimitError) as info:
+            make_suitable_near(targets, eps)
+        assert info.value.achieved_dist2 > eps * eps
+        assert info.value.achieved_dist2 > Fraction(1, 10**17)
+        dec = make_suitable_near(targets, Fraction(1, 100))
+        assert is_suitable(dec)
+
+    def test_exact_input_with_tiny_element(self):
+        # {A/2, A/2, tJ}, A = I - tJ, t = (sqrt2 - 1)^40: exact, with two TRUE
+        # elements, so it is perturbed through binary64 images of its entries.
+        t = silver_power(40)
+        half = identity_minus_tj(t, HALF)
+        tj = QuadHermitian([[QuadComplex(t)] * 2] * 2)
+        dec = make_suitable_near([half, half, tj], Fraction(1, 100))
+        assert is_suitable(dec)
+        assert len(dec) == 3
