@@ -56,11 +56,9 @@ from .linalg import (
     GMatrix,
     GVector,
     QuadHermitian,
-    cayley_unitary,
     frob_dist2,
     gram_schmidt,
     inner_product,
-    matrix_inverse,
     norm2,
     projector_of,
     psd_check,
@@ -102,7 +100,6 @@ __all__ = [
     "adjust_denominator",
     "brute_force_coloring",
     "build_graph",
-    "cayley_unitary",
     "certifying_rescalings",
     "classify_decomposition",
     "classify_element",
@@ -122,7 +119,6 @@ __all__ = [
     "load_rayset",
     "load_rayset_file",
     "make_suitable_near",
-    "matrix_inverse",
     "nearest_true_ray",
     "nonorthogonality_certificate",
     "norm2",

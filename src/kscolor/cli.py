@@ -463,19 +463,29 @@ def _interleave(z: list) -> list:
     return out
 
 
+def _dimension(args, least: int) -> int:
+    if args.dimension < least:
+        raise InvalidInputError(
+            f"--dimension must be at least {least}, got {args.dimension}"
+        )
+    return args.dimension
+
+
 def _cmd_gen_ray(args) -> dict:
+    n = _dimension(args, 2)
     rng = random.Random(args.seed)
-    return {"target": _rng_unit_vector(rng, args.dimension)}
+    return {"target": _rng_unit_vector(rng, n)}
 
 
 def _cmd_gen_frame(args) -> dict:
+    n = _dimension(args, 2)
     rng = random.Random(args.seed)
-    basis = _rng_orthonormal(rng, args.dimension)
+    basis = _rng_orthonormal(rng, n)
     return {"targets": [_interleave(v) for v in basis]}
 
 
 def _cmd_gen_povm(args) -> dict:
-    n = args.dimension
+    n = _dimension(args, 1)
     m = args.elements
     if m < 1:
         raise InvalidInputError("need at least one element")

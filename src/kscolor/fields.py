@@ -163,6 +163,16 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
             n += 1
 
 
+def _sqrt2_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for rational (or integer) a and b."""
+    if a >= 0 and b >= 0:
+        return 0 if a == b == 0 else 1
+    if a <= 0 and b <= 0:
+        return -1
+    # Opposite signs: the larger of a^2 and 2b^2 wins; a tie is impossible.
+    return 1 if (a * a > 2 * b * b) == (a > 0) else -1
+
+
 class QuadRational:
     """Exact real number a + b*sqrt(2) with rational a and b.
 
@@ -253,19 +263,7 @@ class QuadRational:
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(2): -1, 0 or 1."""
-        a, b = self.rat, self.sqrt2
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 against 2 b^2, tie is impossible
-        if a * a > 2 * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
+        return _sqrt2_sign(self.rat, self.sqrt2)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

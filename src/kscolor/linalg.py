@@ -4,10 +4,15 @@ Vectors and matrices are immutable.  Rays are stored unnormalized: scaling a
 vector by a nonzero scalar does not change the ray it represents, and every
 operation that compares rays does so through the scale and phase invariant
 squared projector distance ``ray_dist2``.
+
+``psd_check`` decides positive semidefiniteness on integers: the matrix is
+cleared to Z[sqrt2] + iZ[sqrt2] and eliminated fraction-free (Bareiss, Math.
+Comp. 22, 1968), so no Fraction is normalized inside the elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -18,6 +23,7 @@ from .fields import (
     QUAD_ZERO,
     QuadComplex,
     QuadRational,
+    _sqrt2_sign,
 )
 
 
@@ -261,13 +267,6 @@ class GMatrix:
             (a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, GMatrix) or other.n != self.n:
-            return NotImplemented
-        return GMatrix(
-            (a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
     def __matmul__(self, other):
         if not isinstance(other, GMatrix) or other.n != self.n:
             return NotImplemented
@@ -321,44 +320,6 @@ class GMatrix:
 
     def __repr__(self):
         return f"GMatrix({[list(r) for r in self.rows]!r})"
-
-
-def matrix_inverse(a: GMatrix) -> GMatrix:
-    """Exact inverse by Gauss-Jordan elimination.
-
-    Raises DegenerateInputError for singular input.
-    """
-    n = a.n
-    work = [list(row) + [GaussianRational(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(a.rows)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if not work[r][col].is_zero()), None
-        )
-        if pivot_row is None:
-            raise DegenerateInputError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv_p = work[col][col].inverse()
-        work[col] = [e * inv_p for e in work[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero():
-                f = work[r][col]
-                work[r] = [e - f * p for e, p in zip(work[r], work[col])]
-    return GMatrix(row[n:] for row in work)
-
-
-def cayley_unitary(h: GMatrix) -> GMatrix:
-    """Cayley transform (I - iH)(I + iH)^(-1) of a Hermitian matrix.
-
-    The result is exactly unitary with GaussianRational entries; I + iH is
-    always invertible for Hermitian H.
-    """
-    if not h.is_hermitian():
-        raise InvalidInputError("cayley_unitary requires a Hermitian matrix")
-    i_unit = GaussianRational(0, 1)
-    ih = h.scaled(i_unit)
-    ident = GMatrix.identity(h.n)
-    return (ident - ih) @ matrix_inverse(ident + ih)
 
 
 def projector_of(v: GVector) -> GMatrix:
@@ -447,39 +408,74 @@ class QuadHermitian:
 
 
 def psd_check(a: QuadHermitian) -> bool:
-    """Exact positive semidefiniteness by pivoted LDL* elimination.
+    """Exact positive semidefiniteness of a Q(sqrt2)-complex Hermitian matrix.
 
-    Picks any strictly positive diagonal pivot, forms the Schur complement,
-    and repeats.  A strictly negative diagonal entry disproves PSD; if all
-    remaining diagonal entries are zero the block must vanish identically.
+    The matrix is multiplied by the lcm of its denominators (a positive
+    scale, so PSD is unchanged) into Z[sqrt2] + iZ[sqrt2].  Elimination
+    pivots on any positive diagonal entry; a negative one disproves PSD, and
+    an all-zero diagonal block must vanish.  Each step is the fraction-free
+    (Bareiss) update w_ij <- (p*w_ij - w_ik*w_kj) / p_prev for the pivot p
+    and the one before it (1 at first).  By Sylvester's identity the result
+    is a minor of the cleared matrix, so the division is exact: times
+    g - h*sqrt2 for p_prev = g + h*sqrt2, then by the integer g^2 - 2h^2.
+    That minor is the leading principal minor of the pivots (positive) times
+    the Schur complement entry, so signs and zeros are the Schur complement's.
     """
-    n = a.n
-    work = [[a.entry(i, j) for j in range(n)] for i in range(n)]
-    active = list(range(n))
+    return _psd_rational(
+        [[(e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2) for e in row] for row in a.rows]
+    )
+
+
+def _psd_rational(rows: list[list[tuple]]) -> bool:
+    """``psd_check`` on a Hermitian matrix of rational 4-tuples (a, b, c, d),
+    each meaning (a + b*sqrt2) + i(c + d*sqrt2): clear, then eliminate."""
+    scale = math.lcm(*(q.denominator for row in rows for t in row for q in t))
+    return _psd_cleared(
+        [[tuple(q.numerator * (scale // q.denominator) for q in t) for t in row]
+         for row in rows]
+    )
+
+
+def _psd_cleared(w: list[list[tuple]]) -> bool:
+    """The elimination of ``psd_check`` on the cleared integer 4-tuples.
+    Overwrites w."""
+    active = list(range(len(w)))
+    g0, h0 = 1, 0
     while active:
         pivot = None
         for i in active:
-            s = work[i][i].re.sign()
-            if s < 0:
+            sign = _sqrt2_sign(w[i][i][0], w[i][i][1])
+            if sign < 0:
                 return False
-            if s > 0 and pivot is None:
+            if sign > 0 and pivot is None:
                 pivot = i
         if pivot is None:
-            # Zero diagonal block is PSD only if it is the zero block.
-            return all(
-                work[i][j].is_zero() for i in active for j in active
-            )
-        inv_p = work[pivot][pivot].re.inverse()
-        rest = [i for i in active if i != pivot]
-        col = {i: work[i][pivot] for i in rest}
-        row = {j: work[pivot][j] for j in rest}
-        scale = QuadComplex(inv_p)
-        for i in rest:
-            ci = col[i] * scale
-            wi = work[i]
-            for j in rest:
-                wi[j] = wi[j] - ci * row[j]
-        active = rest
+            return not any(any(w[i][j]) for i in active for j in active)
+        active.remove(pivot)
+        wk = w[pivot]
+        g, h = wk[pivot][0], wk[pivot][1]
+        norm = g0 * g0 - 2 * h0 * h0
+        for x, i in enumerate(active):
+            wi = w[i]
+            a, b, c, d = wi[pivot]
+            for j in active[x:]:
+                e, f, s, t = wk[j]
+                p, q, u, v = wi[j]
+                # (g + h*sqrt2)*w_ij - w_ik*w_kj, real and imaginary parts
+                # each as (integer, sqrt2 coefficient).
+                r0 = g * p + 2 * h * q - (a * e + 2 * b * f - c * s - 2 * d * t)
+                r1 = g * q + h * p - (a * f + b * e - c * t - d * s)
+                i0 = g * u + 2 * h * v - (a * s + 2 * b * t + c * e + 2 * d * f)
+                i1 = g * v + h * u - (a * t + b * s + c * f + d * e)
+                y = (
+                    (r0 * g0 - 2 * r1 * h0) // norm,
+                    (r1 * g0 - r0 * h0) // norm,
+                    (i0 * g0 - 2 * i1 * h0) // norm,
+                    (i1 * g0 - i0 * h0) // norm,
+                )
+                wi[j] = y
+                w[j][i] = (y[0], y[1], -y[2], -y[3])
+        g0, h0 = g, h
     return True
 
 

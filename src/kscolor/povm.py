@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import QuadComplex, QuadRational, rationalize
-from .linalg import QuadHermitian, psd_check
+from .linalg import QuadHermitian, _psd_rational, psd_check
 
 
 class PovmElement:
@@ -234,31 +234,24 @@ def _as_complex_matrix(t, what: str) -> list[list[complex]]:
 
 
 def _float_psd_within(rows: list[list[complex]], tol: float) -> bool:
-    # Exact PSD test of the symmetrized rationalization shifted by tol.
+    """Exact PSD test of the symmetrized rationalization, to denominators
+    10^12, shifted by 2*tol*scale on the diagonal."""
     n = len(rows)
     scale = max(1.0, max(abs(e) for r in rows for e in r))
-    shift = Fraction(rationalize(tol * scale * 2, 10 ** 12))
-    quad = _rationalize_hermitian(rows, 10 ** 12)
-    shifted = quad + QuadHermitian.identity(n).scaled(QuadRational(shift))
-    return psd_check(shifted)
-
-
-def _rationalize_hermitian(rows: list[list[complex]], max_den: int) -> QuadHermitian:
-    """Symmetrize and rationalize a float matrix into a QuadHermitian with
-    all sqrt2-components zero."""
-    n = len(rows)
-    out = [[None] * n for _ in range(n)]
+    shift = rationalize(tol * scale * 2, 10 ** 12)
+    w = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             # Halve before adding, so finite entries near the float limit
             # do not overflow; halving is exact for normal floats.
             z = rows[i][j] / 2 + rows[j][i].conjugate() / 2
-            re = rationalize(z.real, max_den)
-            im = Fraction(0) if i == j else rationalize(z.imag, max_den)
-            out[i][j] = QuadComplex(QuadRational(re), QuadRational(im))
-            if i != j:
-                out[j][i] = QuadComplex(QuadRational(re), QuadRational(-im))
-    return QuadHermitian(out)
+            re = rationalize(z.real, 10 ** 12)
+            if i == j:
+                w[i][i] = (re + shift, 0, 0, 0)
+            else:
+                im = rationalize(z.imag, 10 ** 12)
+                w[i][j], w[j][i] = (re, 0, im, 0), (re, 0, -im, 0)
+    return _psd_rational(w)
 
 
 def _validate_povm_targets(targets) -> list[list[list[complex]]]:

@@ -380,6 +380,39 @@ class TestGenerators:
         doc = json.loads(out)
         assert len(doc["target"]) == 10
 
+    @pytest.mark.parametrize("dimension", ["0", "-1", "1"])
+    def test_gen_ray_rejects_small_dimension(self, dimension):
+        # In a child process with a timeout, so a generator that loops
+        # forever fails the test instead of hanging the suite.
+        proc = subprocess.run(
+            [sys.executable, "-m", "kscolor.cli", "gen-ray", "--dimension", dimension],
+            capture_output=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert json.loads(proc.stderr)["type"] == "InvalidInputError"
+
+    @pytest.mark.parametrize(
+        "command,dimension",
+        [("gen-frame", "0"), ("gen-frame", "-1"), ("gen-frame", "1"),
+         ("gen-povm", "0"), ("gen-povm", "-1")],
+    )
+    def test_generators_reject_small_dimension(self, command, dimension):
+        code, out, err = run_main([command, "--dimension", dimension])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "InvalidInputError"
+
+    def test_gen_povm_dimension_one_feeds_make_suitable(self):
+        _, gen, _ = run_main(["gen-povm", "--seed", "5", "--dimension", "1"])
+        code, out, _ = run_main(
+            ["make-suitable-povm", "-", "--epsilon", "1/100"], stdin=gen
+        )
+        assert code == 0
+        assert json.loads(out)["sum"] == 1
+
     def test_gen_frame_feeds_suitable_frame(self):
         _, gen, _ = run_main(["gen-frame", "--seed", "3"])
         code, out, _ = run_main(

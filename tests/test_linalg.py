@@ -1,6 +1,9 @@
-"""Exact vectors, frames, Gram-Schmidt, Cayley unitaries, projectors,
-PSD decisions and squared distances."""
+"""Exact vectors, frames, Gram-Schmidt, projectors, PSD decisions and
+squared distances."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,25 +12,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kscolor.errors import DegenerateInputError, InvalidInputError
-from kscolor.fields import GaussianRational, QuadComplex, QuadRational
+from kscolor.fields import GaussianRational, QuadComplex, QuadRational, rationalize
 from kscolor.linalg import (
     Frame,
     GMatrix,
     GVector,
     QuadHermitian,
-    cayley_unitary,
+    _psd_cleared,
     frob_dist2,
     gram_schmidt,
     inner_product,
-    matrix_inverse,
     norm2,
     projector_of,
     psd_check,
     ray_dist2,
     same_ray,
 )
+from kscolor.povm import _float_psd_within
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
 
 def gvec(*reals):
@@ -38,6 +42,134 @@ def herm_from_reals(rows):
     return QuadHermitian(
         [[QuadComplex(QuadRational(Fraction(x))) for x in row] for row in rows]
     )
+
+
+# Test-only references: the Fraction-backed pivoted LDL* elimination and the
+# float-target rationalization that psd_check and _float_psd_within replaced.
+
+
+def reference_psd(a: QuadHermitian) -> bool:
+    n = a.n
+    work = [[a.entry(i, j) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    while active:
+        pivot = None
+        for i in active:
+            s = work[i][i].re.sign()
+            if s < 0:
+                return False
+            if s > 0 and pivot is None:
+                pivot = i
+        if pivot is None:
+            # Zero diagonal block is PSD only if it is the zero block.
+            return all(
+                work[i][j].is_zero() for i in active for j in active
+            )
+        inv_p = work[pivot][pivot].re.inverse()
+        rest = [i for i in active if i != pivot]
+        col = {i: work[i][pivot] for i in rest}
+        row = {j: work[pivot][j] for j in rest}
+        scale = QuadComplex(inv_p)
+        for i in rest:
+            ci = col[i] * scale
+            wi = work[i]
+            for j in rest:
+                wi[j] = wi[j] - ci * row[j]
+        active = rest
+    return True
+
+
+def _rationalize_hermitian(rows: list[list[complex]], max_den: int) -> QuadHermitian:
+    """Symmetrize and rationalize a float matrix into a QuadHermitian with
+    all sqrt2-components zero."""
+    n = len(rows)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            # Halve before adding, so finite entries near the float limit
+            # do not overflow; halving is exact for normal floats.
+            z = rows[i][j] / 2 + rows[j][i].conjugate() / 2
+            re = rationalize(z.real, max_den)
+            im = Fraction(0) if i == j else rationalize(z.imag, max_den)
+            out[i][j] = QuadComplex(QuadRational(re), QuadRational(im))
+            if i != j:
+                out[j][i] = QuadComplex(QuadRational(re), QuadRational(-im))
+    return QuadHermitian(out)
+
+
+def reference_float_psd_within(rows: list[list[complex]], tol: float) -> bool:
+    n = len(rows)
+    scale = max(1.0, max(abs(e) for r in rows for e in r))
+    shift = Fraction(rationalize(tol * scale * 2, 10 ** 12))
+    quad = _rationalize_hermitian(rows, 10 ** 12)
+    shifted = quad + QuadHermitian.identity(n).scaled(QuadRational(shift))
+    return reference_psd(shifted)
+
+
+def rand_quad(rng):
+    """A Q(sqrt2) scalar with mixed denominators, zero a third of the time."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return QuadRational(0)
+    a = Fraction(rng.randint(-36, 36), rng.randint(1, 9))
+    b = Fraction(rng.randint(-36, 36), rng.randint(1, 9)) if kind == 2 else 0
+    return QuadRational(a, b)
+
+
+def rand_complex(rng):
+    return QuadComplex(rand_quad(rng), rand_quad(rng))
+
+
+def rand_hermitian(rng, n):
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = QuadComplex(rand_quad(rng))
+        for j in range(i + 1, n):
+            z = rand_complex(rng)
+            rows[i][j], rows[j][i] = z, z.conjugate()
+    return rows
+
+
+def rand_columns(rng, n, r):
+    return [[rand_complex(rng) for _ in range(n)] for _ in range(r)]
+
+
+def tiny_sqrt2(k):
+    """(3 - 2*sqrt2)^k = (sqrt2 - 1)^(2k): positive, about 6^-k."""
+    x = QuadRational(1)
+    for _ in range(k):
+        x = x * QuadRational(3, -2)
+    return x
+
+
+def rand_small(rng):
+    if rng.randrange(2):
+        return QuadRational(Fraction(1, rng.randint(1, 10 ** 6)))
+    return tiny_sqrt2(rng.randint(1, 12))
+
+
+def gram(cols, n):
+    """B B* for the n-row matrix B whose columns are ``cols``."""
+    rows = [[QuadComplex(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for c in cols:
+                rows[i][j] = rows[i][j] + c[i] * c[j].conjugate()
+    return rows
+
+
+def lowered(rows, i, amount):
+    out = [list(r) for r in rows]
+    out[i][i] = out[i][i] - QuadComplex(amount)
+    return QuadHermitian(out)
+
+
+def tiny_sqrt2(k):
+    """(3 - 2*sqrt2)^k = (sqrt2 - 1)^(2k): positive, about 6^-k."""
+    x = QuadRational(1)
+    for _ in range(k):
+        x = x * QuadRational(3, -2)
+    return x
 
 
 class TestInnerProduct:
@@ -110,48 +242,6 @@ class TestFrame:
     def test_size_must_match_dimension(self):
         with pytest.raises(InvalidInputError):
             Frame([gvec(1, 0, 0, 0, 0, 0), gvec(0, 0, 1, 0, 0, 0)])
-
-
-class TestCayley:
-    def test_zero_gives_identity(self):
-        h = GMatrix.zeros(3)
-        assert cayley_unitary(h) == GMatrix.identity(3)
-
-    def test_scalar_case_is_minus_i(self):
-        h = GMatrix([[GaussianRational(1)]])
-        u = cayley_unitary(h)
-        assert u.rows[0][0] == GaussianRational(0, -1)
-
-    def test_rejects_non_hermitian(self):
-        h = GMatrix(
-            [
-                [GaussianRational(0), GaussianRational(1)],
-                [GaussianRational(2), GaussianRational(0)],
-            ]
-        )
-        with pytest.raises(InvalidInputError):
-            cayley_unitary(h)
-
-    @given(
-        st.lists(small_fracs, min_size=3, max_size=3),
-        st.lists(small_fracs, min_size=3, max_size=3),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_exactly_unitary(self, diag, off):
-        # hermitian 3x3 from 3 real diagonal values and 3 complex off-diagonals
-        d = [GaussianRational(x) for x in diag]
-        z01 = GaussianRational(off[0], off[1])
-        z02 = GaussianRational(off[1], off[2])
-        z12 = GaussianRational(off[2], off[0])
-        h = GMatrix(
-            [
-                [d[0], z01, z02],
-                [z01.conjugate(), d[1], z12],
-                [z02.conjugate(), z12.conjugate(), d[2]],
-            ]
-        )
-        u = cayley_unitary(h)
-        assert u.dagger() @ u == GMatrix.identity(3)
 
 
 class TestProjector:
@@ -239,6 +329,145 @@ class TestPsd:
         assert psd_check(m) is (eig_min > 0)
 
 
+def cleared(rows):
+    """Integer 4-tuples of the matrix times the lcm of its denominators."""
+    parts = [[(e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2) for e in r] for r in rows]
+    scale = math.lcm(*(q.denominator for r in parts for t in r for q in t))
+    return [[tuple(int(q * scale) for q in t) for t in r] for r in parts]
+
+
+def determinant(rows):
+    n = len(rows)
+    acc = QuadComplex(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = QuadComplex(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        acc = acc + term
+    return acc
+
+
+class TestPsdAgainstReference:
+    """psd_check against the Fraction LDL* reference on 1x1 to 5x5
+    matrices, with exact answers where the construction fixes one."""
+
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_random_hermitian(self, seed):
+        rng = random.Random(seed)
+        m = QuadHermitian(rand_hermitian(rng, rng.randint(1, 5)))
+        assert psd_check(m) is reference_psd(m)
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_gram_matrices_of_every_rank_are_psd(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        m = QuadHermitian(gram(rand_columns(rng, n, rng.randint(0, n)), n))
+        assert psd_check(m) and reference_psd(m)
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_singular_gram_lowered_on_its_kernel_is_not_psd(self, seed):
+        # Columns orthogonal to v with v_0 = 1 put v in the kernel, so
+        # lowering entry (0, 0) by any amount makes v* M v negative.
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        v = [QuadComplex(1)] + [rand_complex(rng) for _ in range(n - 1)]
+        inv_vv = QuadComplex(sum((x.abs2() for x in v), QuadRational(0)).inverse())
+        cols = []
+        for c in rand_columns(rng, n, rng.randint(0, n - 1)):
+            ip = sum((x.conjugate() * y for x, y in zip(v, c)), QuadComplex(0))
+            cols.append([y - ip * inv_vv * x for x, y in zip(v, c)])
+        m = lowered(gram(cols, n), 0, rand_small(rng))
+        assert not psd_check(m) and not reference_psd(m)
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_gram_lowered_by_a_small_amount(self, seed):
+        # One column scaled by a small s leaves an eigenvalue of order s^2;
+        # lowering by another small amount squared lands on either side.
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        cols = rand_columns(rng, n, n)
+        s = QuadComplex(rand_small(rng))
+        cols[-1] = [x * s for x in cols[-1]]
+        d = rand_small(rng)
+        m = lowered(gram(cols, n), rng.randrange(n), d * d)
+        assert psd_check(m) is reference_psd(m)
+
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_zero_diagonal_block(self, seed):
+        # Zero the diagonal on the index set S and the S-block off the
+        # diagonal except one entry z; sometimes decouple S from the rest.
+        # The result is PSD exactly when every row in S vanishes.
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        rows = gram(rand_columns(rng, n, rng.randint(0, n)), n)
+        block = rng.sample(range(n), rng.randint(2, n))
+        decouple = rng.randrange(2)
+        for i in block:
+            for j in range(n):
+                if j == i or j in block or decouple:
+                    rows[i][j] = rows[j][i] = QuadComplex(0)
+        z = rand_complex(rng)
+        rows[block[0]][block[1]], rows[block[1]][block[0]] = z, z.conjugate()
+        m = QuadHermitian(rows)
+        expect = all(rows[i][j].is_zero() for i in block for j in range(n))
+        assert psd_check(m) is expect
+        assert reference_psd(m) is expect
+
+    @given(seeds)
+    @settings(max_examples=100, deadline=None)
+    def test_last_bareiss_pivot_is_the_determinant(self, seed):
+        # For a positive definite matrix every diagonal stays positive, so
+        # pivots run in order and the last one is the determinant of the
+        # cleared matrix (Sylvester's identity).
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        rows = gram(rand_columns(rng, n, n), n)
+        for i in range(n):
+            rows[i][i] = rows[i][i] + QuadComplex(1)
+        w = cleared(rows)
+        det = determinant(
+            [[QuadComplex(QuadRational(a, b), QuadRational(c, d)) for a, b, c, d in r] for r in w]
+        )
+        assert _psd_cleared(w)
+        assert w[-1][-1] == (det.re.rat, det.re.sqrt2, 0, 0)
+
+
+class TestFloatPsdAgainstReference:
+    """_float_psd_within against the reference fed by the symmetrized
+    QuadHermitian rationalization it replaced."""
+
+    def test_tolerance_boundary(self):
+        # The shift is 2e-8 for entries of size <= 1.
+        assert _float_psd_within([[1 + 0j, 0j], [0j, -1e-9 + 0j]], 1e-8)
+        assert not _float_psd_within([[1 + 0j, 0j], [0j, -4e-8 + 0j]], 1e-8)
+
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_tweaked_rank_one_projectors(self, seed):
+        # Rank-1 projectors moved by +-1e-9 to 4e-8 at one entry, around
+        # the 2e-8 shift, plus non-Hermitian noise below 1e-9.
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        size = rng.uniform(1e-9, 4e-8) * rng.choice((1, -1))
+        v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        nrm = math.sqrt(sum(abs(x) ** 2 for x in v))
+        rows = [[a * b.conjugate() / nrm ** 2 for b in v] for a in v]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] += size
+        if i != j:
+            rows[j][i] += size
+        for r in rows:
+            for k in range(n):
+                r[k] += complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
+        assert _float_psd_within(rows, 1e-8) is reference_float_psd_within(rows, 1e-8)
+
+
 class TestDistances:
     def test_frob_same_is_zero(self):
         a = herm_from_reals([[1, 2], [2, 5]])
@@ -279,27 +508,6 @@ class TestDistances:
         u = gvec(1, 0, 0, 0)
         v = gvec(0, 0, 1, 0)
         assert ray_dist2(u, v) == 2
-
-
-class TestMatrixInverse:
-    def test_inverse_roundtrip(self):
-        m = GMatrix(
-            [
-                [GaussianRational(2), GaussianRational(1, 1)],
-                [GaussianRational(0, 1), GaussianRational(3)],
-            ]
-        )
-        assert m @ matrix_inverse(m) == GMatrix.identity(2)
-
-    def test_singular_rejected(self):
-        m = GMatrix(
-            [
-                [GaussianRational(1), GaussianRational(1)],
-                [GaussianRational(1), GaussianRational(1)],
-            ]
-        )
-        with pytest.raises(DegenerateInputError):
-            matrix_inverse(m)
 
 
 class TestNorm2:
