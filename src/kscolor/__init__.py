@@ -11,7 +11,6 @@ under finite-precision perturbation.
 from .coloring import (
     ProjectionRep,
     TruthValue,
-    certifying_rescalings,
     classify_decomposition,
     classify_in_frame,
     classify_projection_matrix,
@@ -33,7 +32,6 @@ from .fields import (
     QuadComplex,
     QuadRational,
     adjust_denominator,
-    rational,
     rationalize,
     v3,
 )
@@ -48,7 +46,6 @@ from .kscheck import (
     is_valid_coloring,
     load_builtin,
     load_rayset,
-    load_rayset_file,
     perturb_to_suitable,
 )
 from .linalg import (
@@ -100,7 +97,6 @@ __all__ = [
     "adjust_denominator",
     "brute_force_coloring",
     "build_graph",
-    "certifying_rescalings",
     "classify_decomposition",
     "classify_element",
     "classify_in_frame",
@@ -117,7 +113,6 @@ __all__ = [
     "is_valid_coloring",
     "load_builtin",
     "load_rayset",
-    "load_rayset_file",
     "make_suitable_near",
     "nearest_true_ray",
     "nonorthogonality_certificate",
@@ -125,7 +120,6 @@ __all__ = [
     "perturb_to_suitable",
     "projector_of",
     "psd_check",
-    "rational",
     "rationalize",
     "ray_dist2",
     "same_ray",

@@ -4,12 +4,14 @@ Outputs are deterministic and machine-readable. JSON is the default format
 (exact scalars appear as strings, never floats); ``--format text`` renders
 the same data as sorted ``path = value`` lines. The KSCOLOR_FORMAT
 environment variable can change the default. Exit codes: 0 success,
-2 invalid or inapplicable input, 3 degenerate input, 4 resource limit.
+2 invalid or inapplicable input (bad arguments included), 3 degenerate
+input, 4 resource limit; every failure prints one error object to stderr.
 
 Inline arguments (vectors, matrices) use a JSON superset where bare tokens
-like ``1/3`` or ``1/2-1/3s2`` need no quotes; ``@path`` reads the value from
-a file and ``-`` from stdin. Ray-set arguments name a file, or one of the
-bundled sets (``peres33``, ``peres24``) when no such file exists.
+like ``1/3`` or ``1/2-1/3s2`` need no quotes, and quoted strings take JSON
+escapes; ``@path`` reads the value from a file and ``-`` from stdin.
+Ray-set arguments name a file, or one of the bundled sets (``peres33``,
+``peres24``) when no such file exists. ``gen-*`` sizes are capped at 64.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -63,108 +66,51 @@ from .serialize import (
 )
 
 _FORMATS = ("json", "text")
-_DELIMS = "[]{},:"
 
 
 # ---------------------------------------------------------------------------
 # lenient value syntax: JSON plus unquoted scalar tokens
 
+# A quoted string, a bare token (a run that stops at a delimiter or
+# whitespace, and may hold quotes after its first character), or whitespace.
+_LENIENT_TOKEN = re.compile(
+    r'"[^"\\]*(?:\\.[^"\\]*)*"|[^\s\[\]{},:"][^\s\[\]{},:]*|\s+', re.DOTALL
+)
+_JSON_WORDS = ("null", "true", "false")
 
-def _skip_ws(s: str, i: int) -> int:
-    while i < len(s) and s[i].isspace():
-        i += 1
-    return i
 
-
-def _parse_value(s: str, i: int):
-    i = _skip_ws(s, i)
-    if i >= len(s):
-        raise InvalidInputError("unexpected end of input")
-    c = s[i]
-    if c == "[":
-        out = []
-        i = _skip_ws(s, i + 1)
-        if i < len(s) and s[i] == "]":
-            return out, i + 1
-        while True:
-            v, i = _parse_value(s, i)
-            out.append(v)
-            i = _skip_ws(s, i)
-            if i < len(s) and s[i] == ",":
-                i = _skip_ws(s, i + 1)
-                continue
-            if i < len(s) and s[i] == "]":
-                return out, i + 1
-            raise InvalidInputError("expected ',' or ']' in array")
-    if c == "{":
-        out = {}
-        i = _skip_ws(s, i + 1)
-        if i < len(s) and s[i] == "}":
-            return out, i + 1
-        while True:
-            k, i = _parse_value(s, i)
-            if not isinstance(k, str):
-                raise InvalidInputError("object keys must be strings")
-            i = _skip_ws(s, i)
-            if i >= len(s) or s[i] != ":":
-                raise InvalidInputError("expected ':' after object key")
-            v, i = _parse_value(s, i + 1)
-            out[k] = v
-            i = _skip_ws(s, i)
-            if i < len(s) and s[i] == ",":
-                i = _skip_ws(s, i + 1)
-                continue
-            if i < len(s) and s[i] == "}":
-                return out, i + 1
-            raise InvalidInputError("expected ',' or '}' in object")
-    if c == '"':
-        j = i + 1
-        buf = []
-        while j < len(s):
-            if s[j] == "\\" and j + 1 < len(s):
-                buf.append(s[j + 1])
-                j += 2
-                continue
-            if s[j] == '"':
-                return "".join(buf), j + 1
-            buf.append(s[j])
-            j += 1
-        raise InvalidInputError("unterminated string")
-    j = i
-    while j < len(s) and s[j] not in _DELIMS and not s[j].isspace():
-        j += 1
-    if j == i:
-        raise InvalidInputError(f"unexpected character {c!r}")
-    tok = s[i:j]
-    if tok == "null":
-        return None, j
-    if tok == "true":
-        return True, j
-    if tok == "false":
-        return False, j
-    return tok, j
+def _quote_bare(m) -> str:
+    tok = m.group()
+    if tok[0] == '"' or tok in _JSON_WORDS:
+        return tok
+    # JSON allows fewer whitespace characters than str.isspace does.
+    return " " if tok.isspace() else json.dumps(tok)
 
 
 def _lenient_loads(text: str):
     try:
-        val, i = _parse_value(text, 0)
+        return json.loads(_LENIENT_TOKEN.sub(_quote_bare, text), strict=False)
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"malformed value: {exc.msg}") from None
     except RecursionError:
         raise InvalidInputError("value is nested too deeply") from None
-    if _skip_ws(text, i) != len(text):
-        raise InvalidInputError("trailing characters after value")
-    return val
+
+
+def _read_text(path: str) -> str:
+    """The text of a file, or of stdin for '-'."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_value(arg: str):
     """Inline value, @path, or '-' for stdin."""
-    if arg == "-":
-        return _lenient_loads(sys.stdin.read())
-    if arg.startswith("@"):
-        try:
-            with open(arg[1:], "r", encoding="utf-8") as fh:
-                return _lenient_loads(fh.read())
-        except OSError as exc:
-            raise InvalidInputError(f"cannot read {arg[1:]}: {exc}") from exc
+    if arg == "-" or arg.startswith("@"):
+        return _lenient_loads(_read_text(arg if arg == "-" else arg[1:]))
     return _lenient_loads(arg)
 
 
@@ -176,15 +122,12 @@ def _read_doc(arg: str):
 
 
 def _read_rayset(arg: str):
-    if arg == "-":
-        return load_rayset(sys.stdin.read())
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            return load_rayset(fh.read())
+    if arg == "-" or os.path.exists(arg):
+        return load_rayset(_read_text(arg))
     stem = os.path.splitext(os.path.basename(arg))[0]
     try:
         return load_builtin(stem)
-    except (InvalidInputError, FileNotFoundError):
+    except (OSError, ValueError):
         raise InvalidInputError(
             f"no such ray-set file or bundled set: {arg}"
         ) from None
@@ -433,6 +376,10 @@ def _cmd_ks_perturb(args) -> dict:
 
 # developer generators: the only seed-dependent subcommands
 
+# Bounds --dimension and --elements: gen-frame and gen-povm cost O(n^3) and
+# O(m) time and memory.
+_MAX_GEN_SIZE = 64
+
 
 def _rng_unit_vector(rng: random.Random, n: int) -> list:
     while True:
@@ -463,32 +410,30 @@ def _interleave(z: list) -> list:
     return out
 
 
-def _dimension(args, least: int) -> int:
-    if args.dimension < least:
+def _gen_size(flag: str, value: int, least: int) -> int:
+    if not least <= value <= _MAX_GEN_SIZE:
         raise InvalidInputError(
-            f"--dimension must be at least {least}, got {args.dimension}"
+            f"{flag} must be in [{least}, {_MAX_GEN_SIZE}], got {value}"
         )
-    return args.dimension
+    return value
 
 
 def _cmd_gen_ray(args) -> dict:
-    n = _dimension(args, 2)
+    n = _gen_size("--dimension", args.dimension, 2)
     rng = random.Random(args.seed)
     return {"target": _rng_unit_vector(rng, n)}
 
 
 def _cmd_gen_frame(args) -> dict:
-    n = _dimension(args, 2)
+    n = _gen_size("--dimension", args.dimension, 2)
     rng = random.Random(args.seed)
     basis = _rng_orthonormal(rng, n)
     return {"targets": [_interleave(v) for v in basis]}
 
 
 def _cmd_gen_povm(args) -> dict:
-    n = _dimension(args, 1)
-    m = args.elements
-    if m < 1:
-        raise InvalidInputError("need at least one element")
+    n = _gen_size("--dimension", args.dimension, 1)
+    m = _gen_size("--elements", args.elements, 1)
     rng = random.Random(args.seed)
     basis = _rng_orthonormal(rng, n)
     groups = [[] for _ in range(m)]
@@ -529,8 +474,16 @@ def _fraction_flag(text: str) -> Fraction:
     return val
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises argument errors as InvalidInputError, so they print as the
+    same error object as every other failure (exit 2)."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="kscolor",
         description="Exact truth-value colorings for rays, projections and "
         "POVMs, with finite-precision perturbation of Kochen-Specker sets.",
@@ -609,10 +562,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    fmt = args.format if args.format else _default_format()
+    fmt = _default_format()
     try:
+        args = _build_parser().parse_args(argv)
+        fmt = args.format or fmt
         out = args.func(args)
     except (InvalidInputError, NotApplicableError) as exc:
         return _fail(exc, 2, fmt)

@@ -55,25 +55,18 @@ def classify_ray(v: GVector) -> TruthValue:
     return TruthValue.TRUE
 
 
-_RESCALE_RANGE = range(-8, 9)
-
-
-def certifying_rescalings(v: GVector) -> list[GVector]:
-    """All TRUE representatives of the ray of v among rescalings by
-    +-3^k and +-i*3^k for k in [-8, 8]."""
-    out = []
-    for k in _RESCALE_RANGE:
-        mag = Fraction(3) ** k
-        for unit in (
-            GaussianRational(mag),
-            GaussianRational(-mag),
-            GaussianRational(0, mag),
-            GaussianRational(0, -mag),
-        ):
-            w = v.scaled(unit)
-            if classify_ray(w) is TruthValue.TRUE:
-                out.append(w)
-    return out
+def _color_orthogonal(base: list[TruthValue]) -> list[TruthValue]:
+    """TRUE/FALSE when one member of an exactly orthogonal set is TRUE on
+    its own, all UNDETERMINED when none is."""
+    n_true = base.count(TruthValue.TRUE)
+    if n_true == 0:
+        return [TruthValue.UNDETERMINED] * len(base)
+    if n_true > 1:
+        # Impossible for exactly orthogonal members; guarded for safety.
+        raise AssertionError("two TRUE members in an orthogonal set")
+    return [
+        TruthValue.TRUE if b is TruthValue.TRUE else TruthValue.FALSE for b in base
+    ]
 
 
 def classify_in_frame(frame: Frame) -> list[TruthValue]:
@@ -83,16 +76,7 @@ def classify_in_frame(frame: Frame) -> list[TruthValue]:
     orthogonal) and all other legs are FALSE.  When no leg is TRUE the whole
     frame is UNDETERMINED.
     """
-    base = [classify_ray(leg) for leg in frame]
-    n_true = sum(1 for b in base if b is TruthValue.TRUE)
-    if n_true == 0:
-        return [TruthValue.UNDETERMINED] * len(base)
-    if n_true > 1:
-        # Impossible for exactly orthogonal legs; guarded for safety.
-        raise AssertionError("two TRUE legs in an orthogonal frame")
-    return [
-        TruthValue.TRUE if b is TruthValue.TRUE else TruthValue.FALSE for b in base
-    ]
+    return _color_orthogonal([classify_ray(leg) for leg in frame])
 
 
 def truth_sum(frame: Frame) -> int:
@@ -258,12 +242,4 @@ def classify_decomposition(reps: "list[ProjectionRep]") -> list[TruthValue]:
     if total != GMatrix.identity(n):
         raise InvalidInputError("projectors do not sum to the identity")
 
-    base = [classify_projection_matrix(r) for r in reps]
-    n_true = sum(1 for b in base if b is TruthValue.TRUE)
-    if n_true == 0:
-        return [TruthValue.UNDETERMINED] * len(base)
-    if n_true > 1:
-        raise AssertionError("two TRUE members in an orthogonal decomposition")
-    return [
-        TruthValue.TRUE if b is TruthValue.TRUE else TruthValue.FALSE for b in base
-    ]
+    return _color_orthogonal([classify_projection_matrix(r) for r in reps])

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 
 from .coloring import TruthValue, classify_in_frame, classify_ray
 from .errors import InvalidInputError, ResourceLimitError
-from .fields import rationalize
+from .fields import format_fraction, rationalize
 from .linalg import Frame, GVector, gram_schmidt, ray_dist2
 
 
@@ -107,7 +107,8 @@ def _true_point(coords: Sequence[Fraction], scale: int) -> GVector:
 def _within(d2: Fraction, eps: Fraction, what: str) -> Fraction:
     if d2 > eps * eps:
         raise ResourceLimitError(
-            f"no {what} within eps={eps}: the lattice point lies at d^2={d2}",
+            f"no {what} within eps={format_fraction(eps)}: "
+            f"the lattice point lies at d^2={format_fraction(d2)}",
             achieved_dist2=d2,
         )
     return d2

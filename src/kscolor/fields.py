@@ -12,7 +12,8 @@ On top of these the module provides the 3-adic valuation ``v3``, best rational
 approximation of machine reals (``rationalize``), and denominator adjustment
 (``adjust_denominator``), which nudges a rational by at most a prescribed
 amount while forcing its reduced denominator to be, or not to be, divisible
-by three.
+by three.  ``format_fraction`` writes a rational as text, with a clean error
+past CPython's digit limit.
 """
 
 from __future__ import annotations
@@ -20,21 +21,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 
 INF = math.inf
 # floor(sqrt2 * 2^96) / 2^96, within 2^-96 of sqrt2.
 _SQRT2 = Fraction(math.isqrt(2 << 192), 1 << 96)
 
 
-def rational(num, den=1) -> Fraction:
-    """Build a Fraction, rejecting a zero denominator up front."""
-    if den == 0:
-        raise InvalidInputError("rational number with zero denominator")
+def format_fraction(x: Fraction) -> str:
+    """``str(x)``, with ResourceLimitError where CPython refuses to convert
+    an integer of more than 4300 digits (its default limit) to text."""
     try:
-        return Fraction(num, den)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"not a rational number: {num!r}/{den!r}") from exc
+        return str(x)
+    except ValueError:
+        raise ResourceLimitError("a number has too many digits to print") from None
 
 
 def _v3_int(n: int) -> int:

@@ -28,7 +28,7 @@ from .coloring import TruthValue, truth_sum
 from .density import suitable_frame_near
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import QuadComplex, QuadRational
-from .linalg import Frame, GVector, same_ray
+from .linalg import Frame, same_ray
 from .serialize import format_quad_token, parse_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
@@ -508,11 +508,6 @@ def dump_rayset(rs: RaySet, with_checks: bool = True) -> str:
         comps = " ".join(_format_component(e) for e in ray)
         out.append(f"ray {label} {comps}")
     return "\n".join(out) + "\n"
-
-
-def load_rayset_file(path) -> RaySet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_rayset(fh.read())
 
 
 def load_builtin(name: str) -> RaySet:

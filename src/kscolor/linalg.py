@@ -71,9 +71,6 @@ class GVector:
             out.append(e.im)
         return tuple(out)
 
-    def to_floats(self) -> list[float]:
-        return [float(c) for c in self.real_coordinates()]
-
     def scaled(self, s) -> "GVector":
         s = GaussianRational._coerce(s)
         if s.is_zero():
@@ -287,12 +284,6 @@ class GMatrix:
         s = GaussianRational._coerce(s)
         return GMatrix((e * s for e in row) for row in self.rows)
 
-    def dagger(self) -> "GMatrix":
-        n = self.n
-        return GMatrix(
-            (self.rows[j][i].conjugate() for j in range(n)) for i in range(n)
-        )
-
     def trace(self) -> GaussianRational:
         acc = GAUSS_ZERO
         for i in range(self.n):
@@ -356,14 +347,6 @@ class QuadHermitian:
     @classmethod
     def zeros(cls, n: int) -> "QuadHermitian":
         return cls([QuadComplex(0)] * n for _ in range(n))
-
-    @classmethod
-    def from_gmatrix(cls, m: GMatrix) -> "QuadHermitian":
-        if not m.is_hermitian():
-            raise InvalidInputError("matrix is not Hermitian")
-        return cls(
-            (QuadComplex.from_gaussian(e) for e in row) for row in m.rows
-        )
 
     @property
     def n(self) -> int:

@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .fields import QuadComplex, QuadRational, rationalize
+from .fields import QuadComplex, QuadRational, format_fraction, rationalize
 from .linalg import QuadHermitian, _psd_rational, psd_check
 
 
@@ -415,16 +415,16 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
     worst = max(_dist2(w, r) for w, r in zip(work, refs))
     if worst > eps * eps:
         raise ResourceLimitError(
-            f"no suitable decomposition within eps={eps}: "
-            f"the lattice point lies at d^2={worst}",
+            f"no suitable decomposition within eps={format_fraction(eps)}: "
+            f"the lattice point lies at d^2={format_fraction(worst)}",
             achieved_dist2=worst,
         )
     try:
         dec = PovmDecomposition(work)
     except InvalidInputError as exc:
         raise ResourceLimitError(
-            f"no suitable decomposition within eps={eps}: the targets are "
-            f"not PSD (or do not sum to I) within the margin theta/m",
+            f"no suitable decomposition within eps={format_fraction(eps)}: the "
+            f"targets are not PSD (or do not sum to I) within the margin theta/m",
             achieved_dist2=worst,
         ) from exc
     if not is_suitable(dec):

@@ -14,13 +14,9 @@ from fractions import Fraction
 
 from .coloring import ProjectionRep, TruthValue
 from .errors import InvalidInputError
-from .fields import GaussianRational, QuadComplex, QuadRational
+from .fields import GaussianRational, QuadComplex, QuadRational, format_fraction
 from .linalg import Frame, GMatrix, GVector, QuadHermitian
 from .povm import PovmDecomposition, PovmElement
-
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)
 
 
 def parse_fraction(s) -> Fraction:
@@ -64,23 +60,23 @@ def parse_quad_token(s: str) -> QuadRational:
 def format_quad_token(q: QuadRational) -> str:
     """Compact inverse of parse_quad_token."""
     if q.sqrt2 == 0:
-        return str(q.rat)
+        return format_fraction(q.rat)
     if q.sqrt2 == 1:
         s2 = "s2"
     elif q.sqrt2 == -1:
         s2 = "-s2"
     elif q.sqrt2 > 0:
-        s2 = f"{q.sqrt2}s2"
+        s2 = f"{format_fraction(q.sqrt2)}s2"
     else:
-        s2 = f"-{-q.sqrt2}s2"
+        s2 = f"-{format_fraction(-q.sqrt2)}s2"
     if q.rat == 0:
         return s2
     sign = "+" if q.sqrt2 > 0 else ""
-    return f"{q.rat}{sign}{s2}"
+    return f"{format_fraction(q.rat)}{sign}{s2}"
 
 
 def quad_to_obj(q: QuadRational):
-    return {"rat": str(q.rat), "sqrt2": str(q.sqrt2)}
+    return {"rat": format_fraction(q.rat), "sqrt2": format_fraction(q.sqrt2)}
 
 
 def quad_from_obj(obj) -> QuadRational:
@@ -99,7 +95,7 @@ def quad_from_obj(obj) -> QuadRational:
 
 
 def gaussian_to_obj(z: GaussianRational):
-    return {"re": str(z.re), "im": str(z.im)}
+    return {"re": format_fraction(z.re), "im": format_fraction(z.im)}
 
 
 def gaussian_from_obj(obj) -> GaussianRational:

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 import kscolor
 from kscolor import cli
@@ -221,8 +223,52 @@ class TestExitCodes:
         assert "sum to the identity" in doc["error"]
 
     def test_bad_flag_value(self):
-        with pytest.raises(SystemExit):
-            run_main(["approx-true", "[1,0,0,0,0,0]", "--epsilon", "fast"])
+        code, out, err = run_main(
+            ["approx-true", "[1,0,0,0,0,0]", "--epsilon", "fast"]
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "InvalidInputError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nosuch"],
+            ["classify-ray"],
+            ["classify-ray", TRUE_RAY_ARG, "--format", "yaml"],
+            ["classify-ray", TRUE_RAY_ARG, "--no-such-flag"],
+            ["gen-povm", "--elements", "1e400"],
+        ],
+    )
+    def test_argument_error_is_json(self, argv):
+        code, out, err = run_main(argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert doc["error"]
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_main([flag])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approx-true", "[1,0,0,0]", "--epsilon", "1e-5000"],
+            ["make-suitable-povm", "[[[0.5,0],[0,0.5]],[[0.5,0],[0,0.5]]]",
+             "--epsilon", "1e-5000"],
+        ],
+    )
+    def test_result_too_long_to_print_is_4(self, argv):
+        # CPython refuses to print integers of more than 4300 digits.
+        code, out, err = run_main(argv)
+        assert code == 4
+        assert out == ""
+        assert json.loads(err)["type"] == "ResourceLimitError"
 
 
 class TestFormats:
@@ -405,6 +451,27 @@ class TestGenerators:
         assert out == ""
         assert json.loads(err)["type"] == "InvalidInputError"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-ray", "--dimension", "65"],
+            ["gen-frame", "--dimension", "65"],
+            ["gen-povm", "--dimension", "65"],
+            ["gen-povm", "--elements", "65"],
+            ["gen-povm", "--elements", "0"],
+        ],
+    )
+    def test_generators_reject_sizes_outside_bounds(self, argv):
+        code, out, err = run_main(argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["type"] == "InvalidInputError"
+
+    def test_gen_ray_accepts_largest_dimension(self):
+        code, out, _ = run_main(["gen-ray", "--dimension", "64"])
+        assert code == 0
+        assert len(json.loads(out)["target"]) == 128
+
     def test_gen_povm_dimension_one_feeds_make_suitable(self):
         _, gen, _ = run_main(["gen-povm", "--seed", "5", "--dimension", "1"])
         code, out, _ = run_main(
@@ -480,3 +547,141 @@ class TestByteStability:
         assert out == json.dumps(
             json.loads(out), sort_keys=True, separators=(",", ":")
         ) + "\n"
+
+
+# values as json.dumps writes them: the parser must read them back unchanged
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4),
+    max_leaves=12,
+)
+# bare scalar tokens: fractions, Q(sqrt2) tokens and float text
+_BARE_TOKENS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**9, 10**9), st.integers(1, 10**9)),
+    st.builds("{}{:+}s2".format, st.integers(-99, 99), st.integers(-99, 99)),
+    st.floats().map(repr),
+    st.sampled_from(["s2", "-s2", "3/4s2", "1/2-1/3s2", "1e400", "1e-5000"]),
+)
+
+
+class TestLenientValues:
+    @given(_JSON_VALUES, st.booleans(), st.sampled_from([None, 0, 2]))
+    def test_json_round_trip(self, value, ensure_ascii, indent):
+        text = json.dumps(value, ensure_ascii=ensure_ascii, indent=indent)
+        assert cli._lenient_loads(text) == value
+
+    @given(st.lists(_BARE_TOKENS, min_size=1, max_size=5))
+    def test_bare_tokens_read_as_quoted(self, tokens):
+        assert cli._lenient_loads(tokens[0]) == tokens[0]
+        bare = "[" + ", ".join(tokens) + "]"
+        assert cli._lenient_loads(bare) == cli._lenient_loads(json.dumps(tokens))
+
+    def test_json_string_escapes_apply(self):
+        assert cli._lenient_loads(r'["a\tb", "\u0041", "q\"q"]') == [
+            "a\tb", "A", 'q"q'
+        ]
+        code, _, err = run_main(["classify-ray", r'["\s"]'])
+        assert code == 2
+        assert json.loads(err)["type"] == "InvalidInputError"
+
+
+_SUBCOMMANDS = [
+    "classify-ray", "classify-matrix", "classify-povm", "approx-true",
+    "suitable-frame", "false-ray", "make-suitable-povm", "verify-decomposition",
+    "ks-solve", "ks-perturb", "gen-ray", "gen-frame", "gen-povm",
+]
+_EXTREMES = ["1e308", "1e-320", "1e400", "nan", "inf", "-0.0", "1e-5000"]
+_SCALARS = _EXTREMES + ["0", "1", "-1", "0.6", "0.8", "1/2", "1/3", "1/0", "s2",
+                        "1/2-1/3s2"]
+_SIZES = ["-1", "0", "1", "2", "3", "64", "65", "1e400"]
+_FLAG_VALUES = {
+    "--epsilon": _EXTREMES + ["1/100", "1e-4", "0", "-1", "1/0", "abc"],
+    "--dimension": _SIZES,
+    "--seed": ["0", "7", "-1", "1e400"],
+    "--format": ["json", "text", "yaml"],
+}
+# how deeply each subcommand's value nests; the ks-* and gen-* values differ
+_DEPTHS = {"classify-ray": 1, "approx-true": 1, "false-ray": 1,
+           "classify-matrix": 2, "classify-povm": 2, "suitable-frame": 2,
+           "make-suitable-povm": 3, "verify-decomposition": 3}
+_FRAGMENTS = ["[", "]", "{", "}", ",", ":", '"', "\\", "null", "true", "-", "@",
+              "@/no/such/file", ".", "peres33", "kind", "povm", "frame", "--help",
+              "--version", "--allow-split", "--elements", "--eps"]
+_SMALL_RAYSET = "rayset v1\ndimension 2\nfield rational\nray a 1 0\nray b 0 1\n"
+
+
+@st.composite
+def _nested(draw, depth):
+    """A bracketed array of scalars, or of such arrays."""
+    if depth == 0:
+        return draw(st.sampled_from(_SCALARS))
+    items = draw(st.lists(_nested(depth - 1), min_size=1, max_size=4))
+    return "[" + ",".join(items) + "]"
+
+
+_JUNK = st.one_of(
+    st.sampled_from(_FRAGMENTS + _SCALARS),
+    st.lists(st.sampled_from(_SCALARS + _FRAGMENTS), max_size=6).map("".join),
+    st.text(max_size=10),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand (or junk) with a value of about its shape, flags drawn
+    from their own values, and sometimes one stray argument."""
+    cmd = draw(st.sampled_from(_SUBCOMMANDS + ["nosuch", ""]))
+    if cmd in _DEPTHS:
+        argv = [cmd, draw(_nested(_DEPTHS[cmd]) | _JUNK)]
+    elif cmd.startswith("ks-"):
+        argv = [cmd, draw(st.sampled_from(["peres33", "-", "none.rays", "."]) | _JUNK)]
+    else:
+        argv = [cmd]
+    flags = dict(_FLAG_VALUES)
+    if cmd == "gen-povm":
+        flags["--elements"] = _SIZES
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    if cmd == "make-suitable-povm" and draw(st.booleans()):
+        argv.append("--allow-split")
+    return argv + draw(st.lists(_JUNK, max_size=1))
+
+
+_EXIT_CODES = {"InvalidInputError": 2, "NotApplicableError": 2,
+               "DegenerateInputError": 3, "ResourceLimitError": 4}
+
+
+class TestFuzz:
+    @seed(20261018)
+    @settings(max_examples=500, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @example(["classify-ray"], "")
+    @example(["approx-true", "[1,0,0,0]", "--epsilon", "abc"], "")
+    @example(["nosuch"], "")
+    @example(["approx-true", "[1,0,0,0]", "--epsilon", "1e-5000"], "")
+    @given(
+        _argv(),
+        st.sampled_from(["", _SMALL_RAYSET, "[1,0,0,0]", "[[[1,0],[0,1]]]"])
+        | st.text(max_size=20),
+    )
+    def test_every_subcommand_exits_cleanly(self, argv, stdin):
+        try:
+            code, out, err = run_main(argv, stdin=stdin)
+        except SystemExit as exc:  # --help and --version only
+            assert exc.code == 0
+            return
+        assert code in (0, 2, 3, 4)
+        text = any("text" in a for a in argv)
+        if code == 0:
+            if not text:
+                json.loads(out)
+            return
+        assert out == ""
+        if text and err.startswith("error ("):
+            kind = err[len("error ("):err.index(")")]
+        else:
+            doc = json.loads(err)
+            assert set(doc) == {"error", "type"}
+            kind = doc["type"]
+        assert _EXIT_CODES[kind] == code

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kscolor.coloring import (
     ProjectionRep,
     TruthValue,
-    certifying_rescalings,
     classify_decomposition,
     classify_in_frame,
     classify_projection_matrix,
@@ -67,14 +66,6 @@ class TestClassifyRay:
         assert classify_ray(scaled) is TruthValue.UNDETERMINED
         rescued = scaled.scaled(GaussianRational(Fraction(1, 3)))
         assert classify_ray(rescued) is TruthValue.TRUE
-
-    def test_certifying_rescalings_finds_representative(self):
-        scaled = TRUE_RAY.scaled(GaussianRational(9))
-        assert classify_ray(scaled) is TruthValue.UNDETERMINED
-        reps = certifying_rescalings(scaled)
-        assert reps, "a certifying representative must exist"
-        for w in reps:
-            assert classify_ray(w) is TruthValue.TRUE
 
 
 def completion_frame(first):

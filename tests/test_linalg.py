@@ -264,7 +264,7 @@ class TestProjector:
         v = gvec(Fraction(1, 3), Fraction(1, 2), Fraction(-2, 5), 1, 2, Fraction(1, 7))
         p = projector_of(v)
         assert p @ p == p
-        assert p.dagger() == p
+        assert p.is_hermitian()
 
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):

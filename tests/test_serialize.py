@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kscolor.coloring import ProjectionRep, TruthValue
-from kscolor.errors import InvalidInputError
+from kscolor.errors import InvalidInputError, ResourceLimitError
 from kscolor.fields import GaussianRational, QuadComplex, QuadRational
 from kscolor.linalg import Frame, GMatrix, GVector, QuadHermitian
 from kscolor.povm import PovmDecomposition, PovmElement
@@ -57,6 +57,14 @@ class TestFractionText:
         for bad in (True, False, "x", "1/0", None, 1.5):
             with pytest.raises(InvalidInputError):
                 parse_fraction(bad)
+
+    def test_too_many_digits_is_a_resource_limit(self):
+        # CPython refuses int-to-str conversions of more than 4300 digits
+        tiny = Fraction(1, 10**5000)
+        with pytest.raises(ResourceLimitError):
+            format_fraction(tiny)
+        with pytest.raises(ResourceLimitError):
+            quad_to_obj(QuadRational(0, tiny))
 
 
 class TestQuadTokens:
