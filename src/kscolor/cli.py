@@ -151,10 +151,9 @@ def _real_number(e) -> float:
     try:
         if isinstance(e, int):
             return float(e)
-        try:
-            return float(parse_fraction(e))
-        except InvalidInputError:
+        if "s2" in e:
             return parse_quad_token(e).to_float()
+        return float(parse_fraction(e))
     except OverflowError:
         raise InvalidInputError(f"number outside the binary64 range: {e!r}") from None
 
@@ -468,10 +467,9 @@ def _cmd_gen_povm(args) -> dict:
 
 def _fraction_flag(text: str) -> Fraction:
     try:
-        val = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    return val
+        return parse_fraction(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):

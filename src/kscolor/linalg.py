@@ -404,14 +404,7 @@ def psd_check(a: QuadHermitian) -> bool:
     That minor is the leading principal minor of the pivots (positive) times
     the Schur complement entry, so signs and zeros are the Schur complement's.
     """
-    return _psd_rational(
-        [[(e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2) for e in row] for row in a.rows]
-    )
-
-
-def _psd_rational(rows: list[list[tuple]]) -> bool:
-    """``psd_check`` on a Hermitian matrix of rational 4-tuples (a, b, c, d),
-    each meaning (a + b*sqrt2) + i(c + d*sqrt2): clear, then eliminate."""
+    rows = [[(e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2) for e in row] for row in a.rows]
     scale = math.lcm(*(q.denominator for row in rows for t in row for q in t))
     return _psd_cleared(
         [[tuple(q.numerator * (scale // q.denominator) for q in t) for t in row]

@@ -18,6 +18,12 @@ the distance below eps/2.  Distances are measured exactly against the
 caller's binary64 entries, so targets that are Hermitian, PSD or sum to I
 only to the input tolerance can still miss: ResourceLimitError then
 carries the achieved distance.
+
+The construction runs on integers.  Every binary64 entry is an exact dyadic
+p/2^k, so the input PSD check, the rounding (ties to even) and the distance
+certificate work on integer numerators over 2^k and L*2^k; only the
+returned elements are built from Fractions.  The exact sum to I is checked
+componentwise on (re.rat, re.sqrt2, im.rat, im.sqrt2).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import QuadComplex, QuadRational, format_fraction, rationalize
-from .linalg import QuadHermitian, _psd_rational, psd_check
+from .linalg import QuadHermitian, _psd_cleared, psd_check
 
 
 class PovmElement:
@@ -83,11 +89,14 @@ class PovmDecomposition:
         n = elems[0].n
         if any(e.n != n for e in elems):
             raise InvalidInputError("decomposition elements must share one dimension")
-        total = QuadHermitian.zeros(n)
-        for e in elems:
-            total = total + e.matrix
-        if total != QuadHermitian.identity(n):
-            raise InvalidInputError("elements do not sum exactly to the identity")
+        # Componentwise on (re.rat, re.sqrt2, im.rat, im.sqrt2); each element
+        # is Hermitian, so the upper triangle decides.
+        for i in range(n):
+            for j in range(i, n):
+                zs = [e.matrix.rows[i][j] for e in elems]
+                if (sum(z.re.rat for z in zs) != (i == j) or sum(z.re.sqrt2 for z in zs)
+                        or sum(z.im.rat for z in zs) or sum(z.im.sqrt2 for z in zs)):
+                    raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
 
     def __setattr__(self, name, value):
@@ -233,25 +242,35 @@ def _as_complex_matrix(t, what: str) -> list[list[complex]]:
     return out
 
 
+def _dyadic(mats) -> tuple[list, int]:
+    """The binary64 entries of ``mats`` exactly, as integer pairs (re, im)
+    over one common 2**k: every binary64 value is a dyadic rational."""
+    ratios = [[[(z.real.as_integer_ratio(), z.imag.as_integer_ratio()) for z in row]
+               for row in t] for t in mats]
+    k = max(q.bit_length() for t in ratios for row in t for e in row for _, q in e) - 1
+    return [[[tuple(p << (k + 1 - q.bit_length()) for p, q in e) for e in row]
+             for row in t] for t in ratios], k
+
+
 def _float_psd_within(rows: list[list[complex]], tol: float) -> bool:
-    """Exact PSD test of the symmetrized rationalization, to denominators
-    10^12, shifted by 2*tol*scale on the diagonal."""
+    """Exact PSD test of the exact Hermitian part (A + A*)/2 of the binary64
+    matrix, shifted by 2*tol*scale on the diagonal, on integers over
+    2^(k+1) times the shift's denominator."""
     n = len(rows)
     scale = max(1.0, max(abs(e) for r in rows for e in r))
-    shift = rationalize(tol * scale * 2, 10 ** 12)
+    sp, sq = (tol * scale * 2).as_integer_ratio()
+    (t,), k = _dyadic([rows])
     w = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            # Halve before adding, so finite entries near the float limit
-            # do not overflow; halving is exact for normal floats.
-            z = rows[i][j] / 2 + rows[j][i].conjugate() / 2
-            re = rationalize(z.real, 10 ** 12)
+            (ar, ai), (br, bi) = t[i][j], t[j][i]
+            re = (ar + br) * sq
             if i == j:
-                w[i][i] = (re + shift, 0, 0, 0)
+                w[i][i] = (re + (sp << (k + 1)), 0, 0, 0)
             else:
-                im = rationalize(z.imag, 10 ** 12)
+                im = (ai - bi) * sq
                 w[i][j], w[j][i] = (re, 0, im, 0), (re, 0, -im, 0)
-    return _psd_rational(w)
+    return _psd_cleared(w)
 
 
 def _validate_povm_targets(targets) -> list[list[list[complex]]]:
@@ -261,19 +280,24 @@ def _validate_povm_targets(targets) -> list[list[list[complex]]]:
     n = len(mats[0])
     if n < 1 or any(len(m) != n for m in mats):
         raise InvalidInputError("all target matrices must share one dimension")
-    for k, m in enumerate(mats):
+    # abs() of a complex with finite parts raises OverflowError when the
+    # modulus is beyond binary64; no such target is near a POVM.
+    try:
+        for k, m in enumerate(mats):
+            for i in range(n):
+                for j in range(n):
+                    if abs(m[i][j] - m[j][i].conjugate()) > 1e-8:
+                        raise InvalidInputError(f"target {k} is not Hermitian to 1e-8")
+            if not _float_psd_within(m, 1e-8):
+                raise InvalidInputError(f"target {k} is not PSD to 1e-8")
         for i in range(n):
             for j in range(n):
-                if abs(m[i][j] - m[j][i].conjugate()) > 1e-8:
-                    raise InvalidInputError(f"target {k} is not Hermitian to 1e-8")
-        if not _float_psd_within(m, 1e-8):
-            raise InvalidInputError(f"target {k} is not PSD to 1e-8")
-    for i in range(n):
-        for j in range(n):
-            s = sum(m[i][j] for m in mats)
-            want = 1.0 if i == j else 0.0
-            if abs(s - want) > 1e-8:
-                raise InvalidInputError("targets do not sum to the identity to 1e-8")
+                s = sum(m[i][j] for m in mats)
+                want = 1.0 if i == j else 0.0
+                if abs(s - want) > 1e-8:
+                    raise InvalidInputError("targets do not sum to the identity to 1e-8")
+    except OverflowError:
+        raise InvalidInputError("target entries overflow binary64") from None
     return mats
 
 
@@ -291,20 +315,20 @@ def _try_exact_passthrough(targets) -> Optional[PovmDecomposition]:
     return None
 
 
-def _lattice_point(mat, weight: Fraction, shift: Fraction, scale: int):
+def _lattice_point(t, theta: Fraction, m: int, scale: int, k: int):
     """Numerator pairs (re, im), over ``scale``, of the Gaussian-integer
-    lattice point nearest to weight*H + shift*I, for H the exact Hermitian
-    part of the binary64 matrix ``mat``."""
-    n = len(mat)
+    lattice point nearest (ties to even) to (1 - theta)*H + (theta/m)*I, for
+    H the exact Hermitian part of ``t``, integer pairs over 2**k."""
+    n = len(t)
+    den = theta.denominator * m << (k + 1)
+    weight = scale * (theta.denominator - theta.numerator) * m
+    shift = scale * theta.numerator << (k + 1)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            a, b = mat[i][j], mat[j][i]
-            re = (Fraction(a.real) + Fraction(b.real)) / 2 * weight
-            im = (Fraction(a.imag) - Fraction(b.imag)) / 2 * weight
-            if i == j:
-                re += shift
-            x, y = round(re * scale), round(im * scale)
+            (ar, ai), (br, bi) = t[i][j], t[j][i]
+            x = round(Fraction((ar + br) * weight + (shift if i == j else 0), den))
+            y = round(Fraction((ai - bi) * weight, den))
             out[i][j], out[j][i] = (x, y), (x, -y)
     return out
 
@@ -317,14 +341,20 @@ def _element(point, scale: int, corner_sqrt2: Fraction) -> QuadHermitian:
     return QuadHermitian(rows)
 
 
-def _dist2(w: QuadHermitian, target) -> QuadRational:
-    """Exact squared Frobenius distance to a binary64 complex matrix."""
-    acc = QuadRational(0)
-    for row, trow in zip(w.rows, target):
-        for e, z in zip(row, trow):
-            dr, di = e.re - Fraction(z.real), e.im - Fraction(z.imag)
-            acc = acc + dr * dr + di * di
-    return acc
+def _dist2(point, scale: int, corner: Fraction, t, k: int) -> QuadRational:
+    """Exact squared Frobenius distance from the element ``point``/scale,
+    plus corner*sqrt2 at (1,1), to the binary64 matrix ``t`` (integer pairs
+    over 2**k): one integer sum of squares over (scale*2^k)^2, and the
+    corner in closed form, (a + c*sqrt2)^2 = a^2 + 2c^2 + 2ac*sqrt2."""
+    acc = 0
+    for prow, trow in zip(point, t):
+        for (x, y), (fr, fi) in zip(prow, trow):
+            dr, di = (x << k) - fr * scale, (y << k) - fi * scale
+            acc += dr * dr + di * di
+    den = scale << k
+    a = Fraction((point[0][0][0] << k) - t[0][0][0] * scale, den)
+    return QuadRational(Fraction(acc, den * den) + 2 * corner * corner,
+                        2 * corner * a)
 
 
 def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposition:
@@ -376,7 +406,8 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
     )
     theta = min(Fraction(1, 4), eps / Fraction(rationalize(4 * (dev + 1), 100)))
     scale = math.ceil(4 * m * n * max(m / theta, 1 / eps))
-    points = [_lattice_point(t, 1 - theta, theta / m, scale) for t in mats[:-1]]
+    ints, bits = _dyadic(mats)
+    points = [_lattice_point(t, theta, m, scale, bits) for t in ints[:-1]]
     # The last element is I minus the others, so the sum is exact.
     points.append([
         [(scale * (i == j) - sum(p[i][j][0] for p in points),
@@ -407,18 +438,20 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
     corners[donor] -= delta
     if not split:
         corners[recipient] += delta
-    work = [_element(p, scale, c) for p, c in zip(points, corners)]
-    refs = list(mats)
+    dists = [_dist2(p, scale, c, t, bits) for p, c, t in zip(points, corners, ints)]
     if split:
-        work.append(_e11_slice(n, QuadRational(0, delta)))
-        refs.append([[0j] * n for _ in range(n)])
-    worst = max(_dist2(w, r) for w, r in zip(work, refs))
+        # The appended delta*sqrt2*E11 element, against a zero target.
+        dists.append(QuadRational(2 * delta * delta))
+    worst = max(dists)
     if worst > eps * eps:
         raise ResourceLimitError(
             f"no suitable decomposition within eps={format_fraction(eps)}: "
             f"the lattice point lies at d^2={format_fraction(worst)}",
             achieved_dist2=worst,
         )
+    work = [_element(p, scale, c) for p, c in zip(points, corners)]
+    if split:
+        work.append(_e11_slice(n, QuadRational(0, delta)))
     try:
         dec = PovmDecomposition(work)
     except InvalidInputError as exc:

@@ -270,6 +270,22 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["type"] == "ResourceLimitError"
 
+    def test_huge_decimal_exponent_is_refused_quickly(self):
+        # Fraction("1e-10000000") alone takes seconds and a 4 MB integer;
+        # the exponent is refused before it is expanded.
+        argv = ["make-suitable-povm", "[[[0.5,0],[0,0.5]],[[0.5,0],[0,0.5]]]",
+                "--epsilon", "1e-10000000"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "kscolor.cli", *argv],
+            capture_output=True, text=True, timeout=10,
+            env=_child_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        doc = json.loads(proc.stderr)
+        assert doc["type"] == "InvalidInputError"
+        assert "exponent" in doc["error"]
+
 
 class TestFormats:
     def test_text_format(self):
@@ -540,6 +556,20 @@ class TestByteStability:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "f6cb9e784fe5f64f62e716b642675746cc6e68d29e32e39fbc07e38a8f575cc1"
+        )
+
+    def test_make_suitable_povm_bytes_pinned(self):
+        """Pins the lattice point, the corner transfer and the serialized
+        form of a 3x3, four-element complex POVM; the digest was recorded
+        with the Fraction-matrix construction this output must match."""
+        povm = ("[[[0.4,0.1,[0,0.05]],[0.1,0.2,0],[[0,-0.05],0,0.1]],"
+                "[[0.3,-0.1,0],[-0.1,0.3,[0,0.1]],[0,[0,-0.1],0.2]],"
+                "[[0.2,0,[0,-0.05]],[0,0.25,[0,-0.1]],[[0,0.05],[0,0.1],0.3]],"
+                "[[0.1,0,0],[0,0.25,0],[0,0,0.4]]]")
+        code, out, _ = run_main(["make-suitable-povm", povm, "--epsilon", "1e-4"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "baee41529b57919dd1d01856b1fb188ed4527c24db8e9b29293573c4f22bca06"
         )
 
     def test_keys_sorted_and_compact(self):

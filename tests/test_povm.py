@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from kscolor.coloring import TruthValue
 from kscolor.errors import (
@@ -18,6 +20,9 @@ from kscolor.linalg import QuadHermitian, frob_dist2, psd_check
 from kscolor.povm import (
     PovmDecomposition,
     PovmElement,
+    _dist2,
+    _dyadic,
+    _e11_slice,
     classify_element,
     classify_with_witness,
     is_suitable,
@@ -111,6 +116,55 @@ class TestDecomposition:
         assert not is_suitable(d)
         with pytest.raises(NotApplicableError):
             truth_sum(d)
+
+
+def quad_complex(re_rat, re_s2, im_rat, im_s2):
+    return QuadComplex(QuadRational(re_rat, re_s2), QuadRational(im_rat, im_s2))
+
+
+# E1 + E2 = I with every component of the (1,2) entry nonzero; E1 is split
+# in thirds, so the sum check adds three elements.
+_A = quad_complex(Fraction(1, 10), Fraction(1, 30), Fraction(1, 7), Fraction(1, 20))
+_E1 = QuadHermitian([[qc(HALF, Fraction(1, 8)), _A],
+                     [_A.conjugate(), qc(HALF, Fraction(-1, 16))]])
+_E2 = QuadHermitian.identity(2) - _E1
+_THREE = [_E1.scaled(Fraction(1, 3)), _E1.scaled(Fraction(2, 3)), _E2]
+_PARTS = ("re.rat", "re.sqrt2", "im.rat", "im.sqrt2")
+
+
+def _nudged(m: QuadHermitian, i: int, j: int, part: str, unit: Fraction):
+    """m with one unit added to one component of entry (i, j), and its
+    mirror (j, i) moved to match, so an off-diagonal nudge stays Hermitian."""
+    bump = quad_complex(*(unit if p == part else 0 for p in _PARTS))
+    rows = [list(r) for r in m.rows]
+    rows[i][j] = rows[i][j] + bump
+    if i != j:
+        rows[j][i] = rows[j][i] + bump.conjugate()
+    return QuadHermitian(rows)
+
+
+class TestDecompositionSum:
+    """The exact sum to I is checked on each of the four components."""
+
+    @pytest.mark.parametrize("part", _PARTS)
+    @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_one_unit_off_is_rejected(self, part, i, j, k):
+        elems = list(_THREE)
+        if i == j and part.startswith("im"):
+            # A diagonal imaginary part cannot be nudged Hermitian-ly.
+            with pytest.raises(InvalidInputError, match="not Hermitian"):
+                _nudged(elems[k], i, j, part, Fraction(1, 1000))
+            return
+        elems[k] = _nudged(elems[k], i, j, part, Fraction(1, 1000))
+        assert psd_check(elems[k])
+        with pytest.raises(InvalidInputError, match="sum exactly"):
+            PovmDecomposition(elems)
+
+    def test_reordered_decomposition_is_accepted(self):
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            d = PovmDecomposition([_THREE[k] for k in order])
+            assert [e.matrix for e in d] == [_THREE[k] for k in order]
 
 
 class TestClassifyWithWitness:
@@ -234,6 +288,91 @@ def random_float_povm(rng, n, m):
     return mats
 
 
+# Test-only reference: the Fraction-entry distance certificate that the
+# integer _dist2 replaced.
+def reference_dist2(w: QuadHermitian, target) -> QuadRational:
+    acc = QuadRational(0)
+    for row, trow in zip(w.rows, target):
+        for e, z in zip(row, trow):
+            dr, di = e.re - Fraction(z.real), e.im - Fraction(z.imag)
+            acc = acc + dr * dr + di * di
+    return acc
+
+
+def _draw_float(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0.0
+    if kind == 1:  # subnormal
+        return rng.choice((1, -1)) * rng.randint(1, 2**20) * 5e-324
+    if kind == 2:  # tiny normal
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-307, -200)
+    if kind == 3:  # near the top of the binary64 range
+        return rng.uniform(-1.7, 1.7) * 1e308
+    return rng.uniform(-1, 1)
+
+
+def _draw_case(rng):
+    """A lattice point over ``scale`` with a corner sqrt2 part, and a binary64
+    target that is neither Hermitian nor near the point everywhere."""
+    n = rng.randint(1, 4)
+    scale = rng.randint(1, 10**12)
+    base = [[complex(_draw_float(rng), _draw_float(rng)) for _ in range(n)]
+            for _ in range(n)]
+    point = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            z = base[i][j] if rng.random() < 0.5 else 0j
+            x = round(Fraction(z.real) * scale) + rng.randint(-3, 3)
+            y = 0 if i == j else round(Fraction(z.imag) * scale) + rng.randint(-3, 3)
+            point[i][j], point[j][i] = (x, y), (x, -y)
+    # non-Hermitian noise on the target
+    target = [[z + complex(rng.uniform(-1e-8, 1e-8), rng.uniform(-1e-8, 1e-8))
+               if rng.random() < 0.5 else z for z in row] for row in base]
+    corner = rng.choice((0, 1, -1)) * Fraction(rng.randint(1, 10**6), rng.randint(1, 10**9))
+    return point, scale, corner, target
+
+
+def _element_ref(point, scale, corner):
+    rows = [[QuadComplex(QuadRational(Fraction(x, scale)), QuadRational(Fraction(y, scale)))
+             for x, y in row] for row in point]
+    rows[0][0] = QuadComplex(QuadRational(Fraction(point[0][0][0], scale), corner))
+    return QuadHermitian(rows)
+
+
+class TestDistanceCertificate:
+    """The integer _dist2 against the Fraction-entry reference, exactly."""
+
+    @seed(20261019)
+    @given(st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=300, deadline=None, database=None)
+    def test_matches_fraction_reference(self, s):
+        point, scale, corner, target = _draw_case(random.Random(s))
+        (ints,), bits = _dyadic([target])
+        got = _dist2(point, scale, corner, ints, bits)
+        assert got == reference_dist2(_element_ref(point, scale, corner), target)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_split_element(self, n):
+        # The appended delta*sqrt2*E11 element against a zero target.
+        delta = Fraction(1, 96)
+        zero = [[0j] * n for _ in range(n)]
+        (ints,), bits = _dyadic([zero])
+        point = [[(0, 0)] * n for _ in range(n)]
+        want = reference_dist2(_e11_slice(n, QuadRational(0, delta)), zero)
+        assert want == QuadRational(2 * delta * delta)
+        assert _dist2(point, 7, delta, ints, bits) == want
+
+    def test_extreme_entries(self):
+        target = [[complex(5e-324, -1.7e308), complex(1e-310, 2.2e-308)],
+                  [complex(-1e308, 5e-324), complex(0.5, -4e-9)]]
+        point = [[(3, 0), (-1, 2)], [(-1, -2), (5, 0)]]
+        (ints,), bits = _dyadic([target])
+        corner = Fraction(-1, 3)
+        assert _dist2(point, 10, corner, ints, bits) == reference_dist2(
+            _element_ref(point, 10, corner), target)
+
+
 class TestMakeSuitableNear:
     def test_two_half_identities(self):
         half_i = [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]
@@ -319,6 +458,13 @@ class TestMakeSuitableNear:
         assert info.value.achieved_dist2 > Fraction(1, 10**17)
         dec = make_suitable_near(targets, Fraction(1, 100))
         assert is_suitable(dec)
+
+    def test_entry_modulus_beyond_binary64_is_invalid(self):
+        # abs() of 1.5e308 + 1.5e308j overflows; the input is no POVM.
+        big = complex(1.5e308, 1.5e308)
+        targets = [[[1, big], [big.conjugate(), 1]], [[0j, 0j], [0j, 0j]]]
+        with pytest.raises(InvalidInputError, match="overflow"):
+            make_suitable_near(targets, Fraction(1, 100))
 
     def test_exact_input_with_tiny_element(self):
         # {A/2, A/2, tJ}, A = I - tJ, t = (sqrt2 - 1)^40: exact, with two TRUE

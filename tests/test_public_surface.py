@@ -1,14 +1,18 @@
-"""The public surface: every exported name resolves, and every function the
-benchmark's span tracer wraps still exists, so removing a name cannot break
-a traced benchmark run unnoticed."""
+"""The public surface: every exported name resolves, every function the
+benchmark's span tracer wraps still exists, and the benchmark's own
+self-test passes, so a library change cannot break a benchmark run
+unnoticed."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import kscolor
 
-SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+SPANS = BENCHMARKS / "spans.py"
 
 
 def _traced() -> dict:
@@ -32,3 +36,13 @@ def test_traced_names_exist():
 
 def test_all_names_resolve():
     assert [n for n in kscolor.__all__ if not hasattr(kscolor, n)] == []
+
+
+def test_benchmark_selftest_passes():
+    """benchmarks/selftest.py: every verifier accepts real results and
+    rejects corrupted ones (about 3 s)."""
+    proc = subprocess.run(
+        [sys.executable, str(BENCHMARKS / "selftest.py")],
+        cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

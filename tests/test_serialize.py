@@ -58,6 +58,13 @@ class TestFractionText:
             with pytest.raises(InvalidInputError):
                 parse_fraction(bad)
 
+    def test_decimal_exponent_is_bounded(self):
+        assert parse_fraction("1e-100000") == Fraction(1, 10**100000)
+        assert parse_fraction("1e+0000000000000002") == 100
+        for bad in ("1e-100001", "1E100001", "2.5e-1_000_000", "1e" + "9" * 5000):
+            with pytest.raises(InvalidInputError, match="exponent"):
+                parse_fraction(bad)
+
     def test_too_many_digits_is_a_resource_limit(self):
         # CPython refuses int-to-str conversions of more than 4300 digits
         tiny = Fraction(1, 10**5000)
