@@ -21,10 +21,11 @@ nonzero; x/(3M) is then TRUE.  Rounding onto it moves coordinate 1 by at most
 rays.
 
 Frames and FALSE rays round the remaining vectors to Gaussian integers at a
-finer scale and orthogonalize them exactly against the TRUE leg; a leg
-orthogonal to a TRUE leg is never TRUE.  The exact checks stay: a miss,
-possible only for frame targets that are not orthonormal to within eps,
-raises ResourceLimitError with the achieved distance.
+finer scale and orthogonalize them against the TRUE leg with
+``gram_schmidt``, exactly, on cleared integers; a leg orthogonal to a TRUE
+leg is never TRUE.  The exact checks stay: a miss, possible only for frame
+targets that are not orthonormal to within eps, raises ResourceLimitError
+with the achieved distance.
 """
 
 from __future__ import annotations

@@ -5,6 +5,13 @@ vector by a nonzero scalar does not change the ray it represents, and every
 operation that compares rays does so through the scale and phase invariant
 squared projector distance ``ray_dist2``.
 
+The vector primitives ``same_ray``, ``ray_dist2``, ``gram_schmidt`` and the
+orthogonality check of ``Frame`` run on cleared integers: a vector is
+multiplied by the lcm of its denominators into 2n integers (a positive scale,
+so rays, orthogonality and projector distances are unchanged) and inner
+products are integer sums.  ``inner_product`` and ``norm2`` stay on
+GaussianRational for callers that need the exact rational values.
+
 ``psd_check`` decides positive semidefiniteness on integers: the matrix is
 cleared to Z[sqrt2] + iZ[sqrt2] and eliminated fraction-free (Bareiss, Math.
 Comp. 22, 1968), so no Fraction is normalized inside the elimination.
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, InvalidInputError
@@ -116,17 +124,42 @@ def norm2(v: GVector) -> Fraction:
     return acc
 
 
+def _cleared(v: GVector) -> tuple[list[int], int]:
+    """The 2n real coordinates (re1, im1, re2, im2, ...) of v times the lcm
+    d of their denominators, and d: integers on the same ray."""
+    coords = [q.as_integer_ratio() for e in v.entries for q in (e.re, e.im)]
+    scale = math.lcm(*(den for _, den in coords))
+    return [num * (scale // den) for num, den in coords], scale
+
+
+def _times_i(x: list[int]) -> list[int]:
+    """i times a cleared vector: (re, im) -> (-im, re) at each coordinate."""
+    return [c for k in range(0, len(x), 2) for c in (-x[k + 1], x[k])]
+
+
+def _inner(x: list[int], ix: list[int], y: list[int]) -> tuple[int, int]:
+    """Real and imaginary part of the Hermitian inner product <x, y> of two
+    cleared vectors, given ix = i*x: they are the dot products x.y and ix.y."""
+    return sum(map(mul, x, y)), sum(map(mul, ix, y))
+
+
+def _ray_overlap(u: GVector, v: GVector) -> tuple[int, int]:
+    """|<u,v>|^2 and <u,u><v,v> on the cleared integers of u and v; their
+    ratio is the squared cosine of the angle between the rays."""
+    if len(u) != len(v):
+        raise InvalidInputError("ray distance of vectors of different lengths")
+    x, y = _cleared(u)[0], _cleared(v)[0]
+    re, im = _inner(x, _times_i(x), y)
+    return re * re + im * im, sum(map(mul, x, x)) * sum(map(mul, y, y))
+
+
 def same_ray(u: GVector, v: GVector) -> bool:
     """Whether u and v represent the same projective ray (exactly
-    proportional over the Gaussian rationals)."""
+    proportional over the Gaussian rationals): equality in Cauchy-Schwarz."""
     if len(u) != len(v):
         return False
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] != u[j] * v[i]:
-                return False
-    return True
+    overlap, norms = _ray_overlap(u, v)
+    return overlap == norms
 
 
 def ray_dist2(u: GVector, v: GVector) -> Fraction:
@@ -135,10 +168,8 @@ def ray_dist2(u: GVector, v: GVector) -> Fraction:
     Equals 2 * (1 - |<u,v>|^2 / (<u,u> <v,v>)), an exact rational in [0, 2],
     invariant under rescaling either argument.
     """
-    if len(u) != len(v):
-        raise InvalidInputError("ray distance of vectors of different lengths")
-    ip = inner_product(u, v)
-    return 2 * (1 - Fraction(ip.abs2(), norm2(u) * norm2(v)))
+    overlap, norms = _ray_overlap(u, v)
+    return Fraction(2 * (norms - overlap), norms)
 
 
 class Frame:
@@ -161,9 +192,11 @@ class Frame:
             raise InvalidInputError(
                 f"a frame in dimension {dim} needs exactly {dim} legs, got {len(legs)}"
             )
-        for i in range(len(legs)):
+        cleared = [_cleared(leg)[0] for leg in legs]
+        for i, x in enumerate(cleared):
+            ix = _times_i(x)
             for j in range(i + 1, len(legs)):
-                if not inner_product(legs[i], legs[j]).is_zero():
+                if _inner(x, ix, cleared[j]) != (0, 0):
                     raise InvalidInputError(f"legs {i} and {j} are not orthogonal")
         object.__setattr__(self, "legs", legs)
 
@@ -198,6 +231,13 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     The first output leg equals the first input verbatim; leg k lies in the
     span of inputs 1..k.  Linearly dependent inputs raise
     DegenerateInputError.
+
+    Each input runs as integers w over one denominator d (its cleared
+    coordinates over their lcm).  Against each earlier leg, kept as a
+    primitive integer vector u with N = |u|^2, the update is
+    w <- N*w - <u,w>*u and d <- N*d, which subtracts the projection onto u
+    exactly; <u,w>*u is re*u + im*(i*u).  The leg is w/d, and w over the
+    gcd of its entries is the u that later inputs are reduced against.
     """
     vectors = [v if isinstance(v, GVector) else GVector(v) for v in vectors]
     if not vectors:
@@ -207,22 +247,28 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
         raise InvalidInputError(
             f"gram_schmidt in dimension {dim} needs exactly {dim} vectors"
         )
-    done: list[list[GaussianRational]] = []
-    norms: list[Fraction] = []
+    done: list[tuple[list[int], list[int], int]] = []
+    legs = []
     for v in vectors:
-        w = list(v)
-        for u, n2 in zip(done, norms):
-            ip = GAUSS_ZERO
-            for a, b in zip(u, w):
-                ip = ip + a.conjugate() * b
-            if not ip.is_zero():
-                coef = GaussianRational(ip.re / n2, ip.im / n2)
-                w = [wb - coef * ua for wb, ua in zip(w, u)]
-        if all(e.is_zero() for e in w):
+        if len(v) != dim:
+            raise InvalidInputError("frame legs must share one ambient dimension")
+        w, d = _cleared(v)
+        leg = v
+        for u, iu, n2 in done:
+            re, im = _inner(u, iu, w)
+            if re or im:
+                w = [n2 * c - re * a - im * b for c, a, b in zip(w, u, iu)]
+                d *= n2
+                leg = None
+        if not any(w):
             raise DegenerateInputError("input vectors are linearly dependent")
-        done.append(w)
-        norms.append(sum((e.abs2() for e in w), Fraction(0)))
-    return Frame(GVector(w) for w in done)
+        if leg is None:
+            leg = GVector.from_reals([Fraction(c, d) for c in w])
+        legs.append(leg)
+        g = math.gcd(*w)
+        u = [c // g for c in w]
+        done.append((u, _times_i(u), sum(map(mul, u, u))))
+    return Frame(legs)
 
 
 class GMatrix:

@@ -572,6 +572,41 @@ class TestByteStability:
             "baee41529b57919dd1d01856b1fb188ed4527c24db8e9b29293573c4f22bca06"
         )
 
+    # A 4x4 float unitary (the DFT matrix / 2 times a complex Givens
+    # rotation and a phase), so every leg has generic complex coordinates.
+    _UNITARY4 = (
+        "[[0.3414970359675121,0.13095670971327042,0.5,0.0,0.5908303096385225,"
+        "0.13095670971327042,0.48683319750268744,-0.1139887617675942],"
+        "[0.5908303096385223,-0.13095670971327045,3.061616997868383e-17,0.5,"
+        "-0.3414970359675121,0.13095670971327047,-0.11398876176759429,"
+        "-0.48683319750268744],"
+        "[0.3414970359675121,0.13095670971327045,-0.5,6.123233995736766e-17,"
+        "0.5908303096385225,0.1309567097132703,-0.4868331975026874,"
+        "0.11398876176759438],"
+        "[0.5908303096385223,-0.13095670971327047,-9.184850993605148e-17,-0.5,"
+        "-0.3414970359675121,0.13095670971327059,0.11398876176759447,"
+        "0.4868331975026874]]"
+    )
+
+    @pytest.mark.parametrize(
+        "command, value, digest",
+        [
+            ("approx-true", "[0.3,-0.71,0.12,0.05,-0.44,0.2,0.1,0.33,0.0,-0.07]",
+             "0dbbb3c2276f28b873fa5981886e9d9421856f72a3409ced9333a3be93375fcc"),
+            ("false-ray", json.dumps(json.loads(_UNITARY4)[1], separators=(",", ":")),
+             "3f05bc2fa93819d2b62f3d17c460841fbee383dcbb285f51ff42663a6d32d2c0"),
+            ("suitable-frame", _UNITARY4,
+             "3045290ac88942c6255c68bda23ca8c8d93e388fb7ca535e5e707d4f1577733a"),
+        ],
+    )
+    def test_density_bytes_pinned(self, command, value, digest):
+        """Pins the TRUE lattice point, the Gram-Schmidt legs and the exact
+        distances of the three density commands at eps 1e-6; the digests
+        were recorded with the GaussianRational Gram-Schmidt."""
+        code, out, _ = run_main([command, value, "--epsilon", "1e-6"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_keys_sorted_and_compact(self):
         _, out, _ = run_main(["ks-solve", "peres33"])
         assert out == json.dumps(

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kscolor.errors import DegenerateInputError, InvalidInputError
@@ -104,6 +104,69 @@ def reference_float_psd_within(rows: list[list[complex]], tol: float) -> bool:
     quad = _rationalize_hermitian(rows, 10 ** 12)
     shifted = quad + QuadHermitian.identity(n).scaled(QuadRational(shift))
     return reference_psd(shifted)
+
+
+# Test-only references for the vector kernel: the GaussianRational
+# Gram-Schmidt loop that gram_schmidt replaced, and the Fraction formulas of
+# ray_dist2 and same_ray.
+
+
+def reference_gram_schmidt(vectors: list[GVector]) -> list[GVector]:
+    done: list[list[GaussianRational]] = []
+    norms: list[Fraction] = []
+    for v in vectors:
+        w = list(v)
+        for u, n2 in zip(done, norms):
+            ip = GaussianRational(0)
+            for a, b in zip(u, w):
+                ip = ip + a.conjugate() * b
+            if not ip.is_zero():
+                coef = GaussianRational(ip.re / n2, ip.im / n2)
+                w = [wb - coef * ua for wb, ua in zip(w, u)]
+        if all(e.is_zero() for e in w):
+            raise DegenerateInputError("input vectors are linearly dependent")
+        done.append(w)
+        norms.append(sum((e.abs2() for e in w), Fraction(0)))
+    return [GVector(w) for w in done]
+
+
+def reference_ray_dist2(u: GVector, v: GVector) -> Fraction:
+    return 2 * (1 - Fraction(inner_product(u, v).abs2(), norm2(u) * norm2(v)))
+
+
+def reference_same_ray(u: GVector, v: GVector) -> bool:
+    n = len(u)
+    return all(
+        u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n)
+    )
+
+
+_PRIMES = (1000003, 998244353, 2**61 - 1)
+
+
+def rand_gaussian(rng, zero_share=0.25):
+    """A Gaussian rational whose parts have denominator 1, 3^k or a large
+    prime (times a small cofactor), each part zero a quarter of the time."""
+    def part():
+        if rng.random() < zero_share:
+            return Fraction(0)
+        den = rng.choice((1, 3 ** rng.randint(1, 8), rng.choice(_PRIMES)))
+        return Fraction(rng.randint(-10**6, 10**6) or 1, den * rng.randint(1, 4))
+    return GaussianRational(part(), part())
+
+
+def rand_gvector(rng, n):
+    while True:
+        entries = [rand_gaussian(rng) for _ in range(n)]
+        if any(not e.is_zero() for e in entries):
+            return GVector(entries)
+
+
+def rand_scalar(rng):
+    while True:
+        s = rand_gaussian(rng, zero_share=0.4)
+        if not s.is_zero():
+            return s
 
 
 def rand_quad(rng):
@@ -221,6 +284,11 @@ class TestGramSchmidt:
         with pytest.raises(DegenerateInputError):
             gram_schmidt([gvec(1, 0, 1, 0), gvec(2, 0, 2, 0)])
 
+    def test_input_of_another_length_rejected(self):
+        # a longer second input used to be cut to the first one's length
+        with pytest.raises(InvalidInputError, match="one ambient dimension"):
+            gram_schmidt([gvec(1, 0, 0, 0), gvec(1, 0, 1, 0, 1, 0)])
+
     @given(st.lists(st.lists(small_fracs, min_size=6, max_size=6), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_outputs_exactly_orthogonal(self, rows):
@@ -232,6 +300,117 @@ class TestGramSchmidt:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert inner_product(out[i], out[j]) == GaussianRational(0)
+
+
+class TestVectorKernelAgainstReference:
+    """gram_schmidt, ray_dist2 and same_ray on cleared integers against the
+    GaussianRational references they replaced."""
+
+    @seed(20261020)
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, s):
+        rng = random.Random(s)
+        n = rng.randint(2, 5)
+        vectors = [rand_gvector(rng, n) for _ in range(n)]
+        case = rng.randrange(3)
+        if case == 1:
+            # a complex rescaling of an earlier input: one ray twice
+            k = rng.randrange(1, n)
+            vectors[k] = vectors[rng.randrange(k)].scaled(rand_scalar(rng))
+        elif case == 2:
+            # a Gaussian-rational combination of the earlier inputs
+            k = rng.randrange(1, n)
+            combo = [GaussianRational(0)] * n
+            for v in vectors[:k]:
+                c = rand_scalar(rng)
+                combo = [a + c * b for a, b in zip(combo, v)]
+            if any(not e.is_zero() for e in combo):
+                vectors[k] = GVector(combo)
+        try:
+            want = reference_gram_schmidt(vectors)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                gram_schmidt(vectors)
+        else:
+            got = gram_schmidt(vectors)
+            assert list(got) == want
+            assert repr(got) == f"Frame({want!r})"
+
+        u = vectors[0]
+        others = vectors[1:] + [u.scaled(rand_scalar(rng))]
+        bumped = list(u)
+        k = rng.randrange(n)
+        bumped[k] = bumped[k] + rand_scalar(rng)
+        if any(not e.is_zero() for e in bumped):
+            others.append(GVector(bumped).scaled(rand_scalar(rng)))
+        for v in others:
+            assert ray_dist2(u, v) == reference_ray_dist2(u, v)
+            assert ray_dist2(v, u) == reference_ray_dist2(v, u)
+            assert same_ray(u, v) is reference_same_ray(u, v)
+            assert same_ray(v, u) is reference_same_ray(v, u)
+
+    def test_rescaled_ray_is_same_ray_at_distance_zero(self):
+        u = gvec(Fraction(1, 3), 0, Fraction(-2, 1000003), Fraction(5, 9), 0, 1)
+        v = u.scaled(GaussianRational(Fraction(-7, 27), Fraction(2, 998244353)))
+        assert same_ray(u, v) and same_ray(v, u)
+        assert ray_dist2(u, v) == 0
+
+    def test_dependent_complex_combination_rejected(self):
+        u = gvec(1, 2, 0, Fraction(1, 3), 4, 0)
+        v = gvec(0, 0, Fraction(1, 81), 1, 1, -1)
+        w = GVector(
+            a * GaussianRational(2, -1) + b * GaussianRational(Fraction(1, 7), 3)
+            for a, b in zip(u, v)
+        )
+        with pytest.raises(DegenerateInputError):
+            gram_schmidt([u, v, w])
+
+
+# An exact frame whose entries are all nonzero, with legs 0 and 2 real and
+# unequal denominators on every leg: the rows of the 4x4 Fourier matrix
+# scaled by 1/3, 2/5, 7 and (1 + 2i)/1024.
+_FOURIER4 = [
+    [GaussianRational(1), GaussianRational(1), GaussianRational(1), GaussianRational(1)],
+    [GaussianRational(1), GaussianRational(0, 1), GaussianRational(-1), GaussianRational(0, -1)],
+    [GaussianRational(1), GaussianRational(-1), GaussianRational(1), GaussianRational(-1)],
+    [GaussianRational(1), GaussianRational(0, -1), GaussianRational(-1), GaussianRational(0, 1)],
+]
+_FOURIER4_SCALES = [
+    GaussianRational(Fraction(1, 3)),
+    GaussianRational(Fraction(2, 5)),
+    GaussianRational(7),
+    GaussianRational(Fraction(1, 1024), Fraction(2, 1024)),
+]
+
+
+def fourier4_legs():
+    return [
+        [e * s for e in row] for row, s in zip(_FOURIER4, _FOURIER4_SCALES)
+    ]
+
+
+class TestFrameCheck:
+    def test_accepts_legs_with_unequal_denominators(self):
+        legs = [GVector(row) for row in fourier4_legs()]
+        assert len({math.lcm(*(q.denominator for q in leg.real_coordinates()))
+                    for leg in legs}) == 4
+        assert list(Frame(legs)) == legs
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("coord", range(4))
+    @pytest.mark.parametrize("leg", range(4))
+    def test_rejects_one_nudged_component(self, leg, coord, part):
+        rows = fourier4_legs()
+        nudge = Fraction(1, 1000)
+        rows[leg][coord] = rows[leg][coord] + (
+            GaussianRational(nudge) if part == "re" else GaussianRational(0, nudge)
+        )
+        # every entry is nonzero, so the nudged leg leaves every other leg;
+        # the check names the first pair in order
+        first = (0, 1) if leg < 2 else (0, leg)
+        with pytest.raises(InvalidInputError, match=rf"legs {first[0]} and {first[1]} are not orthogonal"):
+            Frame(GVector(row) for row in rows)
 
 
 class TestFrame:
