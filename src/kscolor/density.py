@@ -12,13 +12,16 @@ vector is passed through as that vector, with distance 0.
 Each construction is one rounding onto an integer lattice at a scale fixed
 up front; there is no retry budget.  A target t is divided by its largest
 |coordinate| (exact, so nothing overflows or underflows) and multiplied by
-the scale M, which 3 does not divide.  The TRUE lattice holds the integer
-vectors x with 3 not dividing x1 and 3 dividing every other coordinate, all
-nonzero; x/(3M) is then TRUE.  Rounding onto it moves coordinate 1 by at most
-1 and each of the other m - 1 real coordinates (m = 2n) by at most 3, so
-|x - M t|^2 < 9m, and as |M t| >= M the squared projector distance is below
-18m/M^2.  Any M >= sqrt(18m)/eps therefore proves d^2 <= eps^2 for TRUE
-rays.
+the scale M, which 3 does not divide.  This runs on integers: the target's
+coordinates are cleared to integers a_i over their common denominator (a
+power of 2 for binary64 input), S = max |a_i|, and a_i * M / S is rounded by
+``divmod`` with ties to even, the rule of ``round(Fraction)``.  The TRUE
+lattice holds the integer vectors x with 3 not dividing x1 and 3 dividing
+every other coordinate, all nonzero; x/(3M) is then TRUE.  Rounding onto it
+moves coordinate 1 by at most 1 and each of the other m - 1 real
+coordinates (m = 2n) by at most 3, so |x - M t|^2 < 9m, and as |M t| >= M
+the squared projector distance is below 18m/M^2.  Any M >= sqrt(18m)/eps
+therefore proves d^2 <= eps^2 for TRUE rays.
 
 Frames and FALSE rays round the remaining vectors to Gaussian integers at a
 finer scale and orthogonalize them against the TRUE leg with
@@ -26,6 +29,10 @@ finer scale and orthogonalize them against the TRUE leg with
 leg is never TRUE.  The exact checks stay: a miss, possible only for frame
 targets that are not orthonormal to within eps, raises ResourceLimitError
 with the achieved distance.
+
+The pass-through test rationalizes the target's coordinates one at a time
+and stops at the first whose rationalization is not the coordinate itself
+in binary64; a generic target fails at its first coordinate.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from typing import Optional, Sequence, Union
 
 from .coloring import TruthValue, classify_in_frame, classify_ray
 from .errors import InvalidInputError, ResourceLimitError
-from .fields import format_fraction, rationalize
-from .linalg import Frame, GVector, gram_schmidt, ray_dist2
+from .fields import _coerce_eps, format_fraction, rationalize
+from .linalg import Frame, GVector, _cleared, _ray_dist2, gram_schmidt
 
 
 @dataclass(frozen=True)
@@ -78,31 +85,48 @@ def _validate_real_target(target) -> list[float]:
 def _scale(eps: Fraction, m: int, factor: int) -> int:
     """The smallest integer M >= factor * sqrt(18m) / eps that 3 does not
     divide, computed exactly."""
-    scale = math.isqrt(math.ceil(18 * m * factor * factor / (eps * eps)) - 1) + 1
+    p, q = eps.as_integer_ratio()
+    scale = math.isqrt(-(-18 * m * factor * factor * q * q // (p * p)) - 1) + 1
     return scale + (scale % 3 == 0)
 
 
-def _scaled(coords: Sequence[Fraction], scale: int) -> list[Fraction]:
-    span = max(abs(c) for c in coords)
-    return [c * scale / span for c in coords]
+def _round_div(p: int, q: int) -> int:
+    """p/q rounded to an integer with ties to even, for q > 0: the rule of
+    ``round(Fraction(p, q))``."""
+    k, r = divmod(p, q)
+    return k + (2 * r > q or (2 * r == q and k % 2 == 1))
 
 
-def _gaussian_point(coords: Sequence[Fraction], scale: int) -> GVector:
-    """The Gaussian-integer vector nearest to the scaled target."""
-    return GVector.from_reals([round(u) for u in _scaled(coords, scale)])
+def _gaussian_point(a: list[int], scale: int) -> GVector:
+    """The Gaussian-integer vector nearest to the target, given as cleared
+    integers a, scaled by M."""
+    span = max(map(abs, a))
+    return GVector.from_reals([_round_div(c * scale, span) for c in a])
 
 
-def _true_point(coords: Sequence[Fraction], scale: int) -> GVector:
-    """x/(3M) for the TRUE lattice point x nearest to the target scaled by M."""
-    first, *rest = _scaled(coords, scale)
-    x1 = round(first)
+def _true_point(a: list[int], scale: int) -> GVector:
+    """x/(3M) for the TRUE lattice point x nearest to the target, given as
+    cleared integers a, scaled by M.
+
+    Coordinate 1 is a_1 M / S rounded, then moved by 1 toward a_1 M / S if
+    3 divides it; each other coordinate is a_i M / (3S) rounded, times 3,
+    and a zero there becomes 3 with the sign of a_i (+3 for a_i = 0).
+    """
+    span = max(map(abs, a))
+    first, *rest = a
+    x1 = _round_div(first * scale, span)
     if x1 % 3 == 0:
-        x1 += 1 if first >= x1 else -1
+        x1 += 1 if first * scale >= x1 * span else -1
     xs = [x1]
-    for u in rest:
-        xi = 3 * round(u / 3)
-        xs.append(xi if xi else (3 if u >= 0 else -3))
+    for c in rest:
+        xi = 3 * _round_div(c * scale, 3 * span)
+        xs.append(xi if xi else (3 if c >= 0 else -3))
     return GVector.from_reals([Fraction(xi, 3 * scale) for xi in xs])
+
+
+def _dist2(vec: GVector, a: list[int]) -> Fraction:
+    """The squared projector distance from vec to the target cleared to a."""
+    return _ray_dist2(_cleared(vec.real_coordinates())[0], a)
 
 
 def _within(d2: Fraction, eps: Fraction, what: str) -> Fraction:
@@ -130,28 +154,31 @@ def nearest_true_ray(target: Sequence, eps) -> ApproxResult:
     verified exactly to be at most eps squared.
     """
     coords = _validate_real_target(target)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    exact = [Fraction(c) for c in coords]
-    exact_target = GVector.from_reals(exact)
-    scale = _scale(eps, len(exact), 1)
+    eps = _coerce_eps(eps)
+    scale = _scale(eps, len(coords), 1)
+    a, den = _cleared(coords)
 
     # If the target is the binary64 image of a TRUE rational vector, keep
     # that representative: trueness depends on the representative, and
-    # normalizing would destroy it.
-    span = max(abs(c) for c in exact)
-    ref_raw = [rationalize(c, math.ceil((1 + span) * scale)) for c in exact]
-    if all(float(r) == c for r, c in zip(ref_raw, coords)):
-        raw_vec = GVector.from_reals(ref_raw)
+    # normalizing would destroy it.  Each coordinate is rationalized with
+    # denominator at most ceil((1 + max|c|) M); max|c| = S/den exactly.
+    max_den = -(-(den + max(map(abs, a))) * scale // den)
+    raw = []
+    for c in coords:
+        r = rationalize(c, max_den)
+        if float(r) != c:
+            break
+        raw.append(r)
+    else:
+        raw_vec = GVector.from_reals(raw)
         if classify_ray(raw_vec) is TruthValue.TRUE:
-            if 4 * ray_dist2(raw_vec, exact_target) <= eps * eps:
+            if 4 * _dist2(raw_vec, a) <= eps * eps:
                 return ApproxResult(raw_vec, Fraction(0), TruthValue.TRUE)
 
-    vec = _true_point(exact, scale)
+    vec = _true_point(a, scale)
     if classify_ray(vec) is not TruthValue.TRUE:
         raise AssertionError("the TRUE lattice point did not classify TRUE")
-    d2 = _within(ray_dist2(vec, exact_target), eps, "TRUE ray")
+    d2 = _within(_dist2(vec, a), eps, "TRUE ray")
     return ApproxResult(vec, d2, TruthValue.TRUE)
 
 
@@ -189,20 +216,16 @@ def suitable_frame_near(targets: Sequence[Sequence], eps) -> ApproxResult:
     factor of 4n.
     """
     rows = _validate_frame_target(targets)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    eps = _coerce_eps(eps)
     n = len(rows)
-    exact = [[Fraction(c) for c in row] for row in rows]
     scale = _scale(eps, 2 * n, 4 * n)
+    cleared = [_cleared(row)[0] for row in rows]
     frame = gram_schmidt(
-        [_true_point(exact[0], scale)]
-        + [_gaussian_point(row, scale) for row in exact[1:]]
+        [_true_point(cleared[0], scale)]
+        + [_gaussian_point(a, scale) for a in cleared[1:]]
     )
     values = _true_leg_first(frame)
-    worst = max(
-        ray_dist2(leg, GVector.from_reals(row)) for leg, row in zip(frame, exact)
-    )
+    worst = max(_dist2(leg, a) for leg, a in zip(frame, cleared))
     return ApproxResult(frame, _within(worst, eps, "suitable frame"), values)
 
 
@@ -215,16 +238,14 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
     classify TRUE itself.
     """
     coords = _validate_real_target(target)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-    exact = [Fraction(c) for c in coords]
-    n = len(exact) // 2
+    eps = _coerce_eps(eps)
+    n = len(coords) // 2
     # Leg 2 turns away from the rounded target y by at most the angle between
     # the TRUE leg and the completion leg it rounds, which is orthogonal to y;
     # so d <= (sqrt(18m) + sqrt(m/2))/M, and a factor of 2 in M covers it.
-    scale = _scale(eps, len(exact), 2)
-    y = _gaussian_point(exact, scale)
+    scale = _scale(eps, len(coords), 2)
+    a = _cleared(coords)[0]
+    y = _gaussian_point(a, scale)
     # Complete y to a basis: drop the standard vector with the largest
     # overlap to keep the completion well conditioned.
     skip = max(range(n), key=lambda j: y[j].abs2())
@@ -232,8 +253,8 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
         GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip
     ]
     completion = gram_schmidt([y] + fillers)
-    x = _true_point(completion[1].real_coordinates(), scale)
+    x = _true_point(_cleared(completion[1].real_coordinates())[0], scale)
     frame = gram_schmidt([x, y] + list(completion[2:]))
     values = _true_leg_first(frame)
-    d2 = _within(ray_dist2(frame[1], GVector.from_reals(exact)), eps, "FALSE ray")
+    d2 = _within(_dist2(frame[1], a), eps, "FALSE ray")
     return ApproxResult(frame[1], d2, values[1], witness=frame)

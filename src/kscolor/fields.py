@@ -80,6 +80,14 @@ def _coerce_fraction(x, what: str) -> Fraction:
     raise InvalidInputError(f"{what} must be rational or float, got {type(x).__name__}")
 
 
+def _coerce_eps(eps) -> Fraction:
+    """eps read exactly, as ``_coerce_fraction`` does; it must be positive."""
+    eps = _coerce_fraction(eps, "eps")
+    if eps <= 0:
+        raise InvalidInputError("eps must be positive")
+    return eps
+
+
 def _last_convergent(x: Fraction, max_den: int) -> Fraction:
     # Continued fraction convergents p_k/q_k of x; return the last one with
     # q_k <= max_den.  That convergent always satisfies
@@ -129,11 +137,9 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
     The result is never zero.
     """
     r = _coerce_fraction(r, "adjust_denominator input")
-    eps = _coerce_fraction(eps, "eps")
     if r == 0:
         raise InvalidInputError("adjust_denominator requires a nonzero input")
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    eps = _coerce_eps(eps)
 
     div3 = r.denominator % 3 == 0
     if div3 == want_div3:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .coloring import TruthValue, truth_sum
 from .density import suitable_frame_near
 from .errors import InvalidInputError, ResourceLimitError
-from .fields import QuadComplex, QuadRational
+from .fields import QuadComplex, QuadRational, _coerce_eps
 from .linalg import Frame, same_ray
 from .serialize import format_quad_token, parse_quad_token
 
@@ -320,9 +320,7 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     are detected by exact projective comparison and re-perturbed at a
     slightly smaller epsilon.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    eps = _coerce_eps(eps)
     g = build_graph(rs)
     if not g.contexts:
         raise InvalidInputError("the ray set has no full context to perturb")

@@ -124,12 +124,13 @@ def norm2(v: GVector) -> Fraction:
     return acc
 
 
-def _cleared(v: GVector) -> tuple[list[int], int]:
-    """The 2n real coordinates (re1, im1, re2, im2, ...) of v times the lcm
-    d of their denominators, and d: integers on the same ray."""
-    coords = [q.as_integer_ratio() for e in v.entries for q in (e.re, e.im)]
-    scale = math.lcm(*(den for _, den in coords))
-    return [num * (scale // den) for num, den in coords], scale
+def _cleared(coords: Iterable) -> tuple[list[int], int]:
+    """Exact coordinates (Fractions, ints or binary64 floats) times the lcm d
+    of their denominators, and d.  For the real coordinates (re1, im1, re2,
+    im2, ...) of a vector these are integers on the same ray."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    scale = math.lcm(*(den for _, den in ratios))
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def _times_i(x: list[int]) -> list[int]:
@@ -143,14 +144,17 @@ def _inner(x: list[int], ix: list[int], y: list[int]) -> tuple[int, int]:
     return sum(map(mul, x, y)), sum(map(mul, ix, y))
 
 
-def _ray_overlap(u: GVector, v: GVector) -> tuple[int, int]:
-    """|<u,v>|^2 and <u,u><v,v> on the cleared integers of u and v; their
-    ratio is the squared cosine of the angle between the rays."""
-    if len(u) != len(v):
-        raise InvalidInputError("ray distance of vectors of different lengths")
-    x, y = _cleared(u)[0], _cleared(v)[0]
+def _ray_overlap(x: list[int], y: list[int]) -> tuple[int, int]:
+    """|<x,y>|^2 and <x,x><y,y> of two cleared vectors; their ratio is the
+    squared cosine of the angle between the rays."""
     re, im = _inner(x, _times_i(x), y)
     return re * re + im * im, sum(map(mul, x, x)) * sum(map(mul, y, y))
+
+
+def _ray_dist2(x: list[int], y: list[int]) -> Fraction:
+    """``ray_dist2`` of two cleared vectors of one length."""
+    overlap, norms = _ray_overlap(x, y)
+    return Fraction(2 * (norms - overlap), norms)
 
 
 def same_ray(u: GVector, v: GVector) -> bool:
@@ -158,7 +162,9 @@ def same_ray(u: GVector, v: GVector) -> bool:
     proportional over the Gaussian rationals): equality in Cauchy-Schwarz."""
     if len(u) != len(v):
         return False
-    overlap, norms = _ray_overlap(u, v)
+    overlap, norms = _ray_overlap(
+        _cleared(u.real_coordinates())[0], _cleared(v.real_coordinates())[0]
+    )
     return overlap == norms
 
 
@@ -168,8 +174,11 @@ def ray_dist2(u: GVector, v: GVector) -> Fraction:
     Equals 2 * (1 - |<u,v>|^2 / (<u,u> <v,v>)), an exact rational in [0, 2],
     invariant under rescaling either argument.
     """
-    overlap, norms = _ray_overlap(u, v)
-    return Fraction(2 * (norms - overlap), norms)
+    if len(u) != len(v):
+        raise InvalidInputError("ray distance of vectors of different lengths")
+    return _ray_dist2(
+        _cleared(u.real_coordinates())[0], _cleared(v.real_coordinates())[0]
+    )
 
 
 class Frame:
@@ -192,7 +201,7 @@ class Frame:
             raise InvalidInputError(
                 f"a frame in dimension {dim} needs exactly {dim} legs, got {len(legs)}"
             )
-        cleared = [_cleared(leg)[0] for leg in legs]
+        cleared = [_cleared(leg.real_coordinates())[0] for leg in legs]
         for i, x in enumerate(cleared):
             ix = _times_i(x)
             for j in range(i + 1, len(legs)):
@@ -236,8 +245,17 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     coordinates over their lcm).  Against each earlier leg, kept as a
     primitive integer vector u with N = |u|^2, the update is
     w <- N*w - <u,w>*u and d <- N*d, which subtracts the projection onto u
-    exactly; <u,w>*u is re*u + im*(i*u).  The leg is w/d, and w over the
-    gcd of its entries is the u that later inputs are reduced against.
+    exactly; <u,w>*u is re*u + im*(i*u).  A projection that is zero is
+    skipped.  After each other one, w and d are divided by the content
+    g = gcd(d, w_1, ..., w_2n), so w/d stays in lowest terms and d an
+    integer.  That bounds the heights: against the first k legs, w/d is the
+    input minus its projection onto the span of the first k inputs, whose
+    denominator divides the input's own times the Gram determinant of those
+    inputs cleared to integers, so d and w grow about linearly in k, like
+    the result.  Without the division d is the product of the k norms N,
+    each of them as tall as its leg, and the heights grow quadratically in
+    k.  The leg is w/d, and w over the gcd of its entries is the u that
+    later inputs are reduced against.
     """
     vectors = [v if isinstance(v, GVector) else GVector(v) for v in vectors]
     if not vectors:
@@ -252,13 +270,16 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     for v in vectors:
         if len(v) != dim:
             raise InvalidInputError("frame legs must share one ambient dimension")
-        w, d = _cleared(v)
+        w, d = _cleared(v.real_coordinates())
         leg = v
         for u, iu, n2 in done:
             re, im = _inner(u, iu, w)
             if re or im:
                 w = [n2 * c - re * a - im * b for c, a, b in zip(w, u, iu)]
                 d *= n2
+                g = math.gcd(d, *w)
+                w = [c // g for c in w]
+                d //= g
                 leg = None
         if not any(w):
             raise DegenerateInputError("input vectors are linearly dependent")

@@ -39,7 +39,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .fields import QuadComplex, QuadRational, format_fraction, rationalize
+from .fields import QuadComplex, QuadRational, _coerce_eps, format_fraction, rationalize
 from .linalg import QuadHermitian, _psd_cleared, psd_check
 
 
@@ -393,9 +393,7 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
             for t in targets
         ]
     mats = _validate_povm_targets(targets)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    eps = _coerce_eps(eps)
     m = len(mats)
     n = len(mats[0])
 

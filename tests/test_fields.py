@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kscolor.density import false_ray_near, nearest_true_ray, suitable_frame_near
 from kscolor.errors import InvalidInputError
 from kscolor.fields import (
     INF,
@@ -18,6 +19,8 @@ from kscolor.fields import (
     rationalize,
     v3,
 )
+from kscolor.kscheck import load_builtin, perturb_to_suitable
+from kscolor.povm import make_suitable_near
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=10**4
@@ -150,6 +153,41 @@ class TestAdjustDenominator:
             out = adjust_denominator(r, want, eps)
             assert abs(out - r) <= eps
             assert (out.denominator % 3 == 0) is want
+
+
+# Every public construction that takes an epsilon, called with valid other
+# arguments (a float POVM that is not exactly suitable, so make_suitable_near
+# reaches its epsilon).
+_EPS_TAKERS = {
+    "nearest_true_ray": lambda e: nearest_true_ray([1.0, 0, 0, 0], e),
+    "false_ray_near": lambda e: false_ray_near([1.0, 0, 0, 0], e),
+    "suitable_frame_near": lambda e: suitable_frame_near(
+        [[1.0, 0, 0, 0], [0, 0, 1.0, 0]], e),
+    "make_suitable_near": lambda e: make_suitable_near(
+        [[[0.6, 0.1], [0.1, 0.4]], [[0.4, -0.1], [-0.1, 0.6]]], e),
+    "perturb_to_suitable": lambda e: perturb_to_suitable(load_builtin("peres33"), e),
+}
+
+
+class TestEpsilonValidation:
+    """A non-finite, non-numeric or non-positive epsilon is InvalidInputError
+    everywhere, never a bare ValueError, OverflowError or TypeError."""
+
+    @pytest.mark.parametrize(
+        "eps", [math.nan, math.inf, -math.inf, "abc", None, 0, -0.0],
+        ids=["nan", "inf", "-inf", "abc", "None", "0", "-0.0"],
+    )
+    @pytest.mark.parametrize("name", sorted(_EPS_TAKERS))
+    def test_bad_epsilon_is_invalid_input(self, name, eps):
+        with pytest.raises(InvalidInputError, match="eps"):
+            _EPS_TAKERS[name](eps)
+
+    def test_rational_text_and_float_are_read_exactly(self):
+        want = nearest_true_ray([1.0, 0, 0, 0], Fraction(1, 100))
+        for eps in ("1/100", "0.01"):
+            assert nearest_true_ray([1.0, 0, 0, 0], eps) == want
+        assert suitable_frame_near([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], 0.5) == \
+            suitable_frame_near([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], Fraction(1, 2))
 
 
 class TestQuadRational:

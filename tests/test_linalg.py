@@ -311,7 +311,8 @@ class TestVectorKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, s):
         rng = random.Random(s)
-        n = rng.randint(2, 5)
+        # dims 6-12 cost the Fraction reference up to 0.4 s each: one in ten
+        n = rng.randint(2, 5) if rng.random() < 0.9 else rng.randint(6, 12)
         vectors = [rand_gvector(rng, n) for _ in range(n)]
         case = rng.randrange(3)
         if case == 1:
