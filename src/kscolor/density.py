@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 from .coloring import TruthValue, classify_in_frame, classify_ray
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import _coerce_eps, format_fraction, rationalize
-from .linalg import Frame, GVector, _cleared, _ray_dist2, gram_schmidt
+from .linalg import Frame, GVector, _cleared, _ray_dist2, _round_div, gram_schmidt
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,6 @@ def _scale(eps: Fraction, m: int, factor: int) -> int:
     return scale + (scale % 3 == 0)
 
 
-def _round_div(p: int, q: int) -> int:
-    """p/q rounded to an integer with ties to even, for q > 0: the rule of
-    ``round(Fraction(p, q))``."""
-    k, r = divmod(p, q)
-    return k + (2 * r > q or (2 * r == q and k % 2 == 1))
-
-
 def _gaussian_point(a: list[int], scale: int) -> GVector:
     """The Gaussian-integer vector nearest to the target, given as cleared
     integers a, scaled by M."""
@@ -126,7 +119,7 @@ def _true_point(a: list[int], scale: int) -> GVector:
 
 def _dist2(vec: GVector, a: list[int]) -> Fraction:
     """The squared projector distance from vec to the target cleared to a."""
-    return _ray_dist2(_cleared(vec.real_coordinates())[0], a)
+    return _ray_dist2(vec.cleared[0], a)
 
 
 def _within(d2: Fraction, eps: Fraction, what: str) -> Fraction:
@@ -253,7 +246,7 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
         GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip
     ]
     completion = gram_schmidt([y] + fillers)
-    x = _true_point(_cleared(completion[1].real_coordinates())[0], scale)
+    x = _true_point(completion[1].cleared[0], scale)
     frame = gram_schmidt([x, y] + list(completion[2:]))
     values = _true_leg_first(frame)
     d2 = _within(_dist2(frame[1], a), eps, "FALSE ray")

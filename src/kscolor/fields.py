@@ -335,7 +335,6 @@ class QuadRational:
 
 
 QUAD_ZERO = QuadRational(0)
-QUAD_ONE = QuadRational(1)
 
 
 class GaussianRational:
@@ -442,8 +441,6 @@ class GaussianRational:
 
 
 GAUSS_ZERO = GaussianRational(0)
-GAUSS_ONE = GaussianRational(1)
-GAUSS_I = GaussianRational(0, 1)
 
 
 class QuadComplex:

@@ -28,7 +28,7 @@ from .coloring import TruthValue, truth_sum
 from .density import suitable_frame_near
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import QuadComplex, QuadRational, _coerce_eps
-from .linalg import Frame, same_ray
+from .linalg import Frame, _cleared, same_ray
 from .serialize import format_quad_token, parse_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
@@ -96,15 +96,6 @@ class OrthGraph:
         return sum(1 for ctx in self.contexts if i in ctx)
 
 
-def _cleared(ray) -> list[int]:
-    """The 4n coefficients (re.rat, re.sqrt2, im.rat, im.sqrt2 per entry)
-    of ``ray`` times the lcm of their denominators: a positive integer
-    multiple of the ray, so orthogonality is unchanged."""
-    coeffs = [q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]
-    scale = math.lcm(*(q.denominator for q in coeffs))
-    return [q.numerator * (scale // q.denominator) for q in coeffs]
-
-
 def _orth_rows(x: list[int]) -> tuple:
     """Four integer rows w with <u, v> = 0 exactly when u . w = 0 for all
     four, where v clears to ``x`` and u is any cleared ray.
@@ -134,7 +125,9 @@ def build_graph(rs: RaySet) -> OrthGraph:
     ray already chosen; they come out in lexicographic order.
     """
     n, d = len(rs), rs.dimension
-    xs = [_cleared(ray) for ray in rs.rays]
+    # each ray's 4n coefficients, cleared: a positive multiple of the ray
+    xs = [_cleared(q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
+          for ray in rs.rays]
     rows = [_orth_rows(x) for x in xs]
     nbr = [set() for _ in range(n)]
     pairs = []

@@ -5,12 +5,14 @@ vector by a nonzero scalar does not change the ray it represents, and every
 operation that compares rays does so through the scale and phase invariant
 squared projector distance ``ray_dist2``.
 
-The vector primitives ``same_ray``, ``ray_dist2``, ``gram_schmidt`` and the
-orthogonality check of ``Frame`` run on cleared integers: a vector is
-multiplied by the lcm of its denominators into 2n integers (a positive scale,
-so rays, orthogonality and projector distances are unchanged) and inner
-products are integer sums.  ``inner_product`` and ``norm2`` stay on
-GaussianRational for callers that need the exact rational values.
+Every exact check runs on cleared integers.  ``_cleared`` multiplies a
+sequence of rationals by the lcm d of their denominators (a positive scale,
+so rays, orthogonality, projector distances and PSD are unchanged); it is
+the one clearing helper, and ``_round_div`` the one rounding rule.  A
+``GVector`` clears its 2n real coordinates once, on construction, and keeps
+them with d in ``cleared``.  ``inner_product``, ``norm2``, ``same_ray``,
+``ray_dist2``, ``gram_schmidt`` and the orthogonality check of ``Frame``
+read that form and take integer dot products.
 
 ``psd_check`` decides positive semidefiniteness on integers: the matrix is
 cleared to Z[sqrt2] + iZ[sqrt2] and eliminated fraction-free (Bareiss, Math.
@@ -43,10 +45,30 @@ def _coerce_gaussian(x) -> GaussianRational:
     raise InvalidInputError(f"matrix/vector entries must be GaussianRational, got {type(x).__name__}")
 
 
-class GVector:
-    """Vector in C^n with GaussianRational entries, n >= 2, not all zero."""
+def _cleared(coords: Iterable) -> tuple[tuple[int, ...], int]:
+    """Exact coordinates (Fractions, ints or binary64 floats) times the lcm d
+    of their denominators, and d.  For the real coordinates (re1, im1, re2,
+    im2, ...) of a vector these are integers on the same ray."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    scale = math.lcm(*[den for _, den in ratios])
+    return tuple([num * (scale // den) for num, den in ratios]), scale
 
-    __slots__ = ("entries",)
+
+def _round_div(p: int, q: int) -> int:
+    """p/q rounded to an integer with ties to even, for q > 0: the rule of
+    ``round(Fraction(p, q))``."""
+    k, r = divmod(p, q)
+    return k + (2 * r > q or (2 * r == q and k % 2 == 1))
+
+
+class GVector:
+    """Vector in C^n with GaussianRational entries, n >= 2, not all zero.
+
+    ``cleared`` is (x, d): the 2n real coordinates times the lcm d of their
+    denominators, as integers, made once on construction.
+    """
+
+    __slots__ = ("entries", "cleared")
 
     def __init__(self, entries: Iterable):
         ent = tuple(_coerce_gaussian(e) for e in entries)
@@ -55,6 +77,7 @@ class GVector:
         if all(e.is_zero() for e in ent):
             raise InvalidInputError("the zero vector does not represent a ray")
         object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "cleared", _cleared(q for e in ent for q in (e.re, e.im)))
 
     def __setattr__(self, name, value):
         raise AttributeError("GVector is immutable")
@@ -73,11 +96,7 @@ class GVector:
 
     def real_coordinates(self) -> tuple[Fraction, ...]:
         """The 2n real coordinates (re1, im1, re2, im2, ...)."""
-        out = []
-        for e in self.entries:
-            out.append(e.re)
-            out.append(e.im)
-        return tuple(out)
+        return tuple(q for e in self.entries for q in (e.re, e.im))
 
     def scaled(self, s) -> "GVector":
         s = GaussianRational._coerce(s)
@@ -106,52 +125,50 @@ class GVector:
         return f"GVector({list(self.entries)!r})"
 
 
-def inner_product(u: GVector, v: GVector) -> GaussianRational:
-    """Hermitian inner product, conjugate linear in the first argument."""
-    if len(u) != len(v):
-        raise InvalidInputError("inner product of vectors of different lengths")
-    acc = GAUSS_ZERO
-    for a, b in zip(u, v):
-        acc = acc + a.conjugate() * b
-    return acc
+def _as_vector(v) -> GVector:
+    """v if it is a GVector, else GVector(v); junk raises InvalidInputError."""
+    if isinstance(v, GVector):
+        return v
+    try:
+        return GVector(v)
+    except TypeError:
+        raise InvalidInputError(f"expected a vector, got {type(v).__name__}") from None
 
 
-def norm2(v: GVector) -> Fraction:
-    """Squared norm <v, v>, an exact positive rational."""
-    acc = Fraction(0)
-    for a in v:
-        acc += a.abs2()
-    return acc
-
-
-def _cleared(coords: Iterable) -> tuple[list[int], int]:
-    """Exact coordinates (Fractions, ints or binary64 floats) times the lcm d
-    of their denominators, and d.  For the real coordinates (re1, im1, re2,
-    im2, ...) of a vector these are integers on the same ray."""
-    ratios = [c.as_integer_ratio() for c in coords]
-    scale = math.lcm(*(den for _, den in ratios))
-    return [num * (scale // den) for num, den in ratios], scale
-
-
-def _times_i(x: list[int]) -> list[int]:
+def _times_i(x: Sequence[int]) -> list[int]:
     """i times a cleared vector: (re, im) -> (-im, re) at each coordinate."""
     return [c for k in range(0, len(x), 2) for c in (-x[k + 1], x[k])]
 
 
-def _inner(x: list[int], ix: list[int], y: list[int]) -> tuple[int, int]:
+def _inner(x: Sequence[int], ix: Sequence[int], y: Sequence[int]) -> tuple[int, int]:
     """Real and imaginary part of the Hermitian inner product <x, y> of two
     cleared vectors, given ix = i*x: they are the dot products x.y and ix.y."""
     return sum(map(mul, x, y)), sum(map(mul, ix, y))
 
 
-def _ray_overlap(x: list[int], y: list[int]) -> tuple[int, int]:
+def inner_product(u: GVector, v: GVector) -> GaussianRational:
+    """Hermitian inner product, conjugate linear in the first argument."""
+    if len(u) != len(v):
+        raise InvalidInputError("inner product of vectors of different lengths")
+    (x, dx), (y, dy) = u.cleared, v.cleared
+    re, im = _inner(x, _times_i(x), y)
+    return GaussianRational(Fraction(re, dx * dy), Fraction(im, dx * dy))
+
+
+def norm2(v: GVector) -> Fraction:
+    """Squared norm <v, v>, an exact positive rational."""
+    x, d = v.cleared
+    return Fraction(sum(map(mul, x, x)), d * d)
+
+
+def _ray_overlap(x: Sequence[int], y: Sequence[int]) -> tuple[int, int]:
     """|<x,y>|^2 and <x,x><y,y> of two cleared vectors; their ratio is the
     squared cosine of the angle between the rays."""
     re, im = _inner(x, _times_i(x), y)
     return re * re + im * im, sum(map(mul, x, x)) * sum(map(mul, y, y))
 
 
-def _ray_dist2(x: list[int], y: list[int]) -> Fraction:
+def _ray_dist2(x: Sequence[int], y: Sequence[int]) -> Fraction:
     """``ray_dist2`` of two cleared vectors of one length."""
     overlap, norms = _ray_overlap(x, y)
     return Fraction(2 * (norms - overlap), norms)
@@ -162,9 +179,7 @@ def same_ray(u: GVector, v: GVector) -> bool:
     proportional over the Gaussian rationals): equality in Cauchy-Schwarz."""
     if len(u) != len(v):
         return False
-    overlap, norms = _ray_overlap(
-        _cleared(u.real_coordinates())[0], _cleared(v.real_coordinates())[0]
-    )
+    overlap, norms = _ray_overlap(u.cleared[0], v.cleared[0])
     return overlap == norms
 
 
@@ -176,9 +191,7 @@ def ray_dist2(u: GVector, v: GVector) -> Fraction:
     """
     if len(u) != len(v):
         raise InvalidInputError("ray distance of vectors of different lengths")
-    return _ray_dist2(
-        _cleared(u.real_coordinates())[0], _cleared(v.real_coordinates())[0]
-    )
+    return _ray_dist2(u.cleared[0], v.cleared[0])
 
 
 class Frame:
@@ -191,7 +204,7 @@ class Frame:
     __slots__ = ("legs",)
 
     def __init__(self, legs: Iterable[GVector]):
-        legs = tuple(legs)
+        legs = tuple(_as_vector(leg) for leg in legs)
         if not legs:
             raise InvalidInputError("a frame needs at least one leg")
         dim = len(legs[0])
@@ -201,11 +214,11 @@ class Frame:
             raise InvalidInputError(
                 f"a frame in dimension {dim} needs exactly {dim} legs, got {len(legs)}"
             )
-        cleared = [_cleared(leg.real_coordinates())[0] for leg in legs]
-        for i, x in enumerate(cleared):
+        for i, leg in enumerate(legs):
+            x = leg.cleared[0]
             ix = _times_i(x)
             for j in range(i + 1, len(legs)):
-                if _inner(x, ix, cleared[j]) != (0, 0):
+                if _inner(x, ix, legs[j].cleared[0]) != (0, 0):
                     raise InvalidInputError(f"legs {i} and {j} are not orthogonal")
         object.__setattr__(self, "legs", legs)
 
@@ -241,8 +254,8 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     span of inputs 1..k.  Linearly dependent inputs raise
     DegenerateInputError.
 
-    Each input runs as integers w over one denominator d (its cleared
-    coordinates over their lcm).  Against each earlier leg, kept as a
+    Each input runs as integers w over one denominator d (its ``cleared``
+    form).  Against each earlier leg, kept as a
     primitive integer vector u with N = |u|^2, the update is
     w <- N*w - <u,w>*u and d <- N*d, which subtracts the projection onto u
     exactly; <u,w>*u is re*u + im*(i*u).  A projection that is zero is
@@ -257,7 +270,7 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     k.  The leg is w/d, and w over the gcd of its entries is the u that
     later inputs are reduced against.
     """
-    vectors = [v if isinstance(v, GVector) else GVector(v) for v in vectors]
+    vectors = [_as_vector(v) for v in vectors]
     if not vectors:
         raise InvalidInputError("gram_schmidt needs at least one vector")
     dim = len(vectors[0])
@@ -270,7 +283,7 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     for v in vectors:
         if len(v) != dim:
             raise InvalidInputError("frame legs must share one ambient dimension")
-        w, d = _cleared(v.real_coordinates())
+        w, d = v.cleared
         leg = v
         for u, iu, n2 in done:
             re, im = _inner(u, iu, w)
@@ -471,11 +484,11 @@ def psd_check(a: QuadHermitian) -> bool:
     That minor is the leading principal minor of the pivots (positive) times
     the Schur complement entry, so signs and zeros are the Schur complement's.
     """
-    rows = [[(e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2) for e in row] for row in a.rows]
-    scale = math.lcm(*(q.denominator for row in rows for t in row for q in t))
+    n = a.n
+    x = _cleared(q for row in a.rows for e in row
+                 for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
     return _psd_cleared(
-        [[tuple(q.numerator * (scale // q.denominator) for q in t) for t in row]
-         for row in rows]
+        [[x[k : k + 4] for k in range(4 * n * i, 4 * n * (i + 1), 4)] for i in range(n)]
     )
 
 

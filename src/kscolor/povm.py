@@ -40,7 +40,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import QuadComplex, QuadRational, _coerce_eps, format_fraction, rationalize
-from .linalg import QuadHermitian, _psd_cleared, psd_check
+from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
 
 
 class PovmElement:
@@ -203,8 +203,7 @@ def classify_with_witness(
     # in integers, |P^2 - 2Q^2| >= 1 gives mu >= 1/(D(|P| + 2|Q|)), and
     # b = y*D(|P| + 2|Q|) + 1 puts lam*mu strictly between 0 and mu.
     y = max(math.floor(mu.sqrt2), 0) + 1
-    den = math.lcm(mu.rat.denominator, mu.sqrt2.denominator)
-    p, q = int(mu.rat * den), int(mu.sqrt2 * den)
+    (p, q), den = _cleared((mu.rat, mu.sqrt2))
     b = y * den * (abs(p) + 2 * abs(q)) + 1
     lam = QuadRational(-y * Fraction(math.isqrt(2 * b * b), b), y) / mu
     witness = PovmDecomposition(
@@ -327,8 +326,8 @@ def _lattice_point(t, theta: Fraction, m: int, scale: int, k: int):
     for i in range(n):
         for j in range(i, n):
             (ar, ai), (br, bi) = t[i][j], t[j][i]
-            x = round(Fraction((ar + br) * weight + (shift if i == j else 0), den))
-            y = round(Fraction((ai - bi) * weight, den))
+            x = _round_div((ar + br) * weight + (shift if i == j else 0), den)
+            y = _round_div((ai - bi) * weight, den)
             out[i][j], out[j][i] = (x, y), (x, -y)
     return out
 

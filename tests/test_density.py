@@ -18,7 +18,6 @@ from kscolor.coloring import TruthValue, classify_in_frame, classify_ray, truth_
 from kscolor.density import (
     ApproxResult,
     _gaussian_point,
-    _round_div,
     _true_point,
     false_ray_near,
     nearest_true_ray,
@@ -26,7 +25,7 @@ from kscolor.density import (
 )
 from kscolor.errors import InvalidInputError
 from kscolor.fields import GaussianRational, v3
-from kscolor.linalg import Frame, GVector, _cleared, inner_product, ray_dist2
+from kscolor.linalg import Frame, GVector, _cleared, _round_div, inner_product, ray_dist2
 
 E1 = [1.0, 0, 0, 0, 0, 0]
 BASIS3 = [

@@ -18,6 +18,7 @@ from kscolor.linalg import (
     GMatrix,
     GVector,
     QuadHermitian,
+    _cleared,
     _psd_cleared,
     frob_dist2,
     gram_schmidt,
@@ -107,8 +108,9 @@ def reference_float_psd_within(rows: list[list[complex]], tol: float) -> bool:
 
 
 # Test-only references for the vector kernel: the GaussianRational
-# Gram-Schmidt loop that gram_schmidt replaced, and the Fraction formulas of
-# ray_dist2 and same_ray.
+# Gram-Schmidt loop that gram_schmidt replaced, the Fraction formulas of
+# ray_dist2 and same_ray, and the GaussianRational loops of inner_product and
+# norm2.
 
 
 def reference_gram_schmidt(vectors: list[GVector]) -> list[GVector]:
@@ -132,6 +134,20 @@ def reference_gram_schmidt(vectors: list[GVector]) -> list[GVector]:
 
 def reference_ray_dist2(u: GVector, v: GVector) -> Fraction:
     return 2 * (1 - Fraction(inner_product(u, v).abs2(), norm2(u) * norm2(v)))
+
+
+def reference_inner_product(u: GVector, v: GVector) -> GaussianRational:
+    acc = GaussianRational(0)
+    for a, b in zip(u, v):
+        acc = acc + a.conjugate() * b
+    return acc
+
+
+def reference_norm2(v: GVector) -> Fraction:
+    acc = Fraction(0)
+    for a in v:
+        acc += a.abs2()
+    return acc
 
 
 def reference_same_ray(u: GVector, v: GVector) -> bool:
@@ -259,6 +275,44 @@ class TestInnerProduct:
         u = gvec(1, 2, -3, Fraction(1, 2))
         v = gvec(Fraction(2, 7), -1, 4, 5)
         assert inner_product(u, v) == inner_product(v, u).conjugate()
+
+    @seed(20261023)
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, s):
+        """The integer inner product and norm against the GaussianRational
+        loops they replaced, for n <= 8."""
+        rng = random.Random(s)
+        n = rng.randint(2, 8)
+        u, v = rand_gvector(rng, n), rand_gvector(rng, n)
+        for x, y in ((u, v), (v, u), (u, u), (u, v.scaled(rand_scalar(rng)))):
+            assert inner_product(x, y) == reference_inner_product(x, y)
+        assert norm2(u) == reference_norm2(u)
+        assert norm2(v) == reference_norm2(v)
+
+
+class TestClearedForm:
+    """GVector clears its real coordinates once, on construction."""
+
+    @seed(20261024)
+    @given(st.lists(
+        st.one_of(st.integers(-10**6, 10**6), st.just(0),
+                  st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**9)),
+        min_size=4, max_size=16,
+    ).filter(lambda cs: len(cs) % 2 == 0 and any(cs)))
+    @settings(max_examples=300, deadline=None)
+    def test_slot_is_cleared_real_coordinates(self, coords):
+        v = GVector.from_reals(coords)
+        x, d = v.cleared
+        assert (x, d) == _cleared(v.real_coordinates())
+        assert all(isinstance(c, int) for c in x) and d >= 1
+        assert [Fraction(c, d) for c in x] == [Fraction(c) for c in coords]
+
+    def test_slot_is_immutable(self):
+        v = gvec(1, 0, Fraction(-1, 3), 0)
+        assert v.cleared == ((3, 0, -1, 0), 3)
+        with pytest.raises(AttributeError):
+            v.cleared = ((1, 0, 0, 0), 1)
 
 
 class TestGramSchmidt:
@@ -422,6 +476,27 @@ class TestFrame:
     def test_size_must_match_dimension(self):
         with pytest.raises(InvalidInputError):
             Frame([gvec(1, 0, 0, 0, 0, 0), gvec(0, 0, 1, 0, 0, 0)])
+
+    def test_legs_given_as_entry_lists_are_coerced(self):
+        g = GaussianRational
+        frame = Frame([[g(1), g(0)], [g(0), g(1)]])
+        assert list(frame) == [gvec(1, 0, 0, 0), gvec(0, 0, 1, 0)]
+        assert Frame([[1, 0], [0, Fraction(1, 2)]]) == Frame(
+            [gvec(1, 0, 0, 0), gvec(0, 0, Fraction(1, 2), 0)]
+        )
+
+    @pytest.mark.parametrize("legs", [
+        [["a", "b"], ["c", "d"]],
+        [[1.5, 0], [0, 1]],
+        [1, 2],
+        [None, None],
+        [[GaussianRational(1)], [GaussianRational(0)]],
+    ])
+    def test_junk_legs_raise_invalid_input(self, legs):
+        with pytest.raises(InvalidInputError):
+            Frame(legs)
+        with pytest.raises(InvalidInputError):
+            gram_schmidt(legs)
 
 
 class TestProjector:
