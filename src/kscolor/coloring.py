@@ -25,7 +25,7 @@ import enum
 from fractions import Fraction
 
 from .errors import InvalidInputError, NotApplicableError
-from .fields import GaussianRational, v3
+from .fields import GaussianRational, _v3_int, v3
 from .linalg import Frame, GMatrix, GVector, inner_product
 
 
@@ -42,15 +42,16 @@ class TruthValue(enum.Enum):
 def classify_ray(v: GVector) -> TruthValue:
     """Color a single ray representative TRUE or UNDETERMINED.
 
-    The zero vector is rejected at GVector construction, so every input here
-    is a valid representative.
+    On the cleared form (x, d), v3(x_k/d) = v3(x_k) - v3(d): TRUE iff x_1 != 0
+    with v3(x_1) < v3(d) and every other x_k != 0 with v3(x_k) >= v3(d).
+    GVector rejects the zero vector, so every input is a representative.
     """
-    coords = v.real_coordinates()
-    first = coords[0]
-    if first == 0 or v3(first) > -1:
+    (first, *rest), d = v.cleared
+    k = _v3_int(d)
+    if first == 0 or _v3_int(abs(first)) >= k:
         return TruthValue.UNDETERMINED
-    for c in coords[1:]:
-        if c == 0 or v3(c) < 0:
+    for c in rest:
+        if c == 0 or _v3_int(abs(c)) < k:
             return TruthValue.UNDETERMINED
     return TruthValue.TRUE
 

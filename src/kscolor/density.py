@@ -94,7 +94,7 @@ def _gaussian_point(a: list[int], scale: int) -> GVector:
     """The Gaussian-integer vector nearest to the target, given as cleared
     integers a, scaled by M."""
     span = max(map(abs, a))
-    return GVector.from_reals([_round_div(c * scale, span) for c in a])
+    return GVector._of([_round_div(c * scale, span) for c in a], 1)
 
 
 def _true_point(a: list[int], scale: int) -> GVector:
@@ -114,7 +114,7 @@ def _true_point(a: list[int], scale: int) -> GVector:
     for c in rest:
         xi = 3 * _round_div(c * scale, 3 * span)
         xs.append(xi if xi else (3 if c >= 0 else -3))
-    return GVector.from_reals([Fraction(xi, 3 * scale) for xi in xs])
+    return GVector._of(xs, 3 * scale)
 
 
 def _dist2(vec: GVector, a: list[int]) -> Fraction:
@@ -241,7 +241,8 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
     y = _gaussian_point(a, scale)
     # Complete y to a basis: drop the standard vector with the largest
     # overlap to keep the completion well conditioned.
-    skip = max(range(n), key=lambda j: y[j].abs2())
+    yx = y.cleared[0]
+    skip = max(range(n), key=lambda j: yx[2 * j] ** 2 + yx[2 * j + 1] ** 2)
     fillers = [
         GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip
     ]

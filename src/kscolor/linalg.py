@@ -8,11 +8,11 @@ squared projector distance ``ray_dist2``.
 Every exact check runs on cleared integers.  ``_cleared`` multiplies a
 sequence of rationals by the lcm d of their denominators (a positive scale,
 so rays, orthogonality, projector distances and PSD are unchanged); it is
-the one clearing helper, and ``_round_div`` the one rounding rule.  A
-``GVector`` clears its 2n real coordinates once, on construction, and keeps
-them with d in ``cleared``.  ``inner_product``, ``norm2``, ``same_ray``,
-``ray_dist2``, ``gram_schmidt`` and the orthogonality check of ``Frame``
-read that form and take integer dot products.
+the one clearing helper, and ``_round_div`` the one rounding rule.  The
+only stored form of a ``GVector`` is ``cleared``, its 2n real coordinates as
+integers over one denominator.  ``inner_product``, ``norm2``, ``same_ray``,
+``ray_dist2``, ``gram_schmidt`` (which builds its legs from its integers) and
+the ``Frame`` orthogonality check take integer dot products on that form.
 
 ``psd_check`` decides positive semidefiniteness on integers: the matrix is
 cleared to Z[sqrt2] + iZ[sqrt2] and eliminated fraction-free (Bareiss, Math.
@@ -33,6 +33,7 @@ from .fields import (
     QUAD_ZERO,
     QuadComplex,
     QuadRational,
+    _coerce_fraction,
     _sqrt2_sign,
 )
 
@@ -64,20 +65,29 @@ def _round_div(p: int, q: int) -> int:
 class GVector:
     """Vector in C^n with GaussianRational entries, n >= 2, not all zero.
 
-    ``cleared`` is (x, d): the 2n real coordinates times the lcm d of their
-    denominators, as integers, made once on construction.
+    ``cleared`` is the only stored form: the 2n real coordinates as integers
+    x over one denominator d > 0 with gcd(d, x) = 1, unique to the vector, so
+    ``==`` and ``hash`` read it.  Every vector is built by ``_of``; entries
+    and real coordinates are derived from the form on each read.
     """
 
-    __slots__ = ("entries", "cleared")
+    __slots__ = ("cleared",)
 
-    def __init__(self, entries: Iterable):
-        ent = tuple(_coerce_gaussian(e) for e in entries)
-        if len(ent) < 2:
+    def __new__(cls, entries: Iterable) -> "GVector":
+        ent = [_coerce_gaussian(e) for e in entries]
+        return cls._of(*_cleared([q for e in ent for q in (e.re, e.im)]))
+
+    @classmethod
+    def _of(cls, x: Sequence[int], d: int) -> "GVector":
+        """The vector x/d, for integers x and d > 0; the one constructor."""
+        if len(x) < 4:
             raise InvalidInputError("vectors must have at least 2 entries")
-        if all(e.is_zero() for e in ent):
+        if not any(x):
             raise InvalidInputError("the zero vector does not represent a ray")
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "cleared", _cleared(q for e in ent for q in (e.re, e.im)))
+        g = math.gcd(d, *x)
+        v = object.__new__(cls)
+        object.__setattr__(v, "cleared", (tuple([c // g for c in x]), d // g))
+        return v
 
     def __setattr__(self, name, value):
         raise AttributeError("GVector is immutable")
@@ -89,14 +99,17 @@ class GVector:
         coords = list(coords)
         if len(coords) % 2 != 0 or len(coords) < 4:
             raise InvalidInputError("expected an even number (>= 4) of real coordinates")
-        return cls(
-            GaussianRational(coords[2 * k], coords[2 * k + 1])
-            for k in range(len(coords) // 2)
-        )
+        return cls._of(*_cleared([_coerce_fraction(c, "real coordinate") for c in coords]))
+
+    @property
+    def entries(self) -> tuple[GaussianRational, ...]:
+        c = self.real_coordinates()
+        return tuple([GaussianRational(c[k], c[k + 1]) for k in range(0, len(c), 2)])
 
     def real_coordinates(self) -> tuple[Fraction, ...]:
         """The 2n real coordinates (re1, im1, re2, im2, ...)."""
-        return tuple(q for e in self.entries for q in (e.re, e.im))
+        x, d = self.cleared
+        return tuple([Fraction(c, d) for c in x])
 
     def scaled(self, s) -> "GVector":
         s = GaussianRational._coerce(s)
@@ -105,7 +118,7 @@ class GVector:
         return GVector(e * s for e in self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.cleared[0]) // 2
 
     def __getitem__(self, k):
         return self.entries[k]
@@ -116,10 +129,10 @@ class GVector:
     def __eq__(self, other):
         if not isinstance(other, GVector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.cleared == other.cleared
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self.cleared)
 
     def __repr__(self):
         return f"GVector({list(self.entries)!r})"
@@ -284,7 +297,6 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
         if len(v) != dim:
             raise InvalidInputError("frame legs must share one ambient dimension")
         w, d = v.cleared
-        leg = v
         for u, iu, n2 in done:
             re, im = _inner(u, iu, w)
             if re or im:
@@ -293,12 +305,9 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
                 g = math.gcd(d, *w)
                 w = [c // g for c in w]
                 d //= g
-                leg = None
         if not any(w):
             raise DegenerateInputError("input vectors are linearly dependent")
-        if leg is None:
-            leg = GVector.from_reals([Fraction(c, d) for c in w])
-        legs.append(leg)
+        legs.append(GVector._of(w, d))
         g = math.gcd(*w)
         u = [c // g for c in w]
         done.append((u, _times_i(u), sum(map(mul, u, u))))
@@ -396,7 +405,8 @@ class GMatrix:
 def projector_of(v: GVector) -> GMatrix:
     """Rank-1 orthogonal projector onto the ray of v, exact."""
     inv_n2 = GaussianRational(1 / norm2(v))
-    return GMatrix(((a * b.conjugate()) * inv_n2 for b in v) for a in v)
+    ent = v.entries
+    return GMatrix(((a * b.conjugate()) * inv_n2 for b in ent) for a in ent)
 
 
 class QuadHermitian:

@@ -159,6 +159,14 @@ def vector_from_reals_obj(obj) -> GVector:
     return GVector.from_reals([parse_fraction(x) for x in obj])
 
 
+def _check_dimension(obj: dict, n: int) -> None:
+    """An optional 'dimension' key must be the n read from the object, as an
+    int or as its text (the CLI reads bare numbers as text)."""
+    dim = obj.get("dimension", n)
+    if dim != str(n) and (type(dim) is not int or dim != n):
+        raise InvalidInputError(f"'dimension' does not match the object's dimension {n}")
+
+
 def frame_to_obj(f: Frame):
     return {
         "kind": "frame",
@@ -173,7 +181,9 @@ def frame_from_obj(obj) -> Frame:
     legs = obj.get("legs")
     if not isinstance(legs, list):
         raise InvalidInputError("frame object must carry a 'legs' array")
-    return Frame(vector_from_obj(leg) for leg in legs)
+    frame = Frame(vector_from_obj(leg) for leg in legs)
+    _check_dimension(obj, frame.dimension)
+    return frame
 
 
 def gmatrix_to_obj(m: GMatrix):
@@ -210,9 +220,9 @@ def povm_from_obj(obj) -> PovmDecomposition:
     elements = obj.get("elements")
     if not isinstance(elements, list):
         raise InvalidInputError("POVM object must carry an 'elements' array")
-    return PovmDecomposition(
-        PovmElement(quadherm_from_obj(e)) for e in elements
-    )
+    dec = PovmDecomposition(PovmElement(quadherm_from_obj(e)) for e in elements)
+    _check_dimension(obj, dec.n)
+    return dec
 
 
 def projection_rep_from_obj(obj) -> ProjectionRep:

@@ -142,6 +142,19 @@ class TestExitCodes:
         assert doc["type"] == "InvalidInputError"
         assert doc["error"]
 
+    @pytest.mark.parametrize("dimension", ['"two"', "2", "true", "1.0"])
+    def test_serialized_dimension_must_match(self, dimension):
+        # A 1x1 POVM whose elements sum to 1; only its 'dimension' is wrong.
+        doc = ('{"kind":"povm","dimension":%s,"elements":'
+               '[[[{"re":{"rat":"0","sqrt2":"1/2"}}]],'
+               '[[{"re":{"rat":"1","sqrt2":"-1/2"}}]]]}' % dimension)
+        code, out, err = run_main(["verify-decomposition", doc])
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert "'dimension'" in doc["error"]
+
     def test_degenerate_input_is_3(self):
         identity_targets = "[[[1,0,0],[0,1,0],[0,0,1]]]"
         code, _, err = run_main(["make-suitable-povm", identity_targets])

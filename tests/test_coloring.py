@@ -1,10 +1,11 @@
 """Truth predicates: ray trueness, frame suitability, the non-orthogonality
 certificate for TRUE pairs, and matrix-level trueness with witness shifts."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kscolor.coloring import (
@@ -66,6 +67,66 @@ class TestClassifyRay:
         assert classify_ray(scaled) is TruthValue.UNDETERMINED
         rescued = scaled.scaled(GaussianRational(Fraction(1, 3)))
         assert classify_ray(rescued) is TruthValue.TRUE
+
+
+def reference_classify_ray(v: GVector) -> TruthValue:
+    """The Fraction/v3 loop that the integer classify_ray replaced."""
+    coords = v.real_coordinates()
+    first = coords[0]
+    if first == 0 or v3(first) > -1:
+        return TruthValue.UNDETERMINED
+    for c in coords[1:]:
+        if c == 0 or v3(c) < 0:
+            return TruthValue.UNDETERMINED
+    return TruthValue.TRUE
+
+
+def rand_three_adic(rng, val):
+    """A nonzero rational of 3-adic valuation val, either sign, with a
+    cofactor m prime to 3 in its denominator."""
+    num = rng.choice((1, 2, 4, 5, 7, 10, 11, 13, 1000003)) * rng.choice((1, -1))
+    den = rng.choice((1, 2, 5, 7, 8, 998244353))
+    return Fraction(num, den) * Fraction(3) ** val
+
+
+def rand_ray_near_truth(rng, n):
+    """Coordinates that are TRUE, or TRUE but for one change: a zero part,
+    a first valuation raised to >= 0, another lowered below 0, or the whole
+    vector rescaled by a power of 3; plus plain random coordinates."""
+    kind = rng.randrange(6)
+    coords = [rand_three_adic(rng, -rng.randint(1, 4))]
+    coords += [rand_three_adic(rng, rng.randint(0, 3)) for _ in range(2 * n - 1)]
+    k = rng.randrange(2 * n)
+    if kind == 5:
+        coords = [rng.choice((Fraction(0), rand_three_adic(rng, rng.randint(-3, 3))))
+                  for _ in range(2 * n)]
+    elif kind == 1:
+        coords[k] = Fraction(0)
+    elif kind == 2:
+        coords[0] = rand_three_adic(rng, rng.randint(0, 2))
+    elif kind == 3 and k:
+        coords[k] = rand_three_adic(rng, -rng.randint(1, 3))
+    elif kind == 4:
+        coords = [c * Fraction(3) ** rng.randint(-2, 2) for c in coords]
+    if not any(coords):
+        coords[-1] = Fraction(1)
+    return coords
+
+
+class TestClassifyRayAgainstReference:
+    @seed(20261026)
+    @given(st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, s):
+        rng = random.Random(s)
+        v = GVector.from_reals(rand_ray_near_truth(rng, rng.randint(2, 6)))
+        assert classify_ray(v) is reference_classify_ray(v)
+
+    def test_reference_cases_cover_both_verdicts(self):
+        rng = random.Random(20261026)
+        verdicts = {classify_ray(GVector.from_reals(rand_ray_near_truth(rng, 3)))
+                    for _ in range(200)}
+        assert verdicts == {TruthValue.TRUE, TruthValue.UNDETERMINED}
 
 
 def completion_frame(first):

@@ -29,6 +29,7 @@ from kscolor.linalg import (
     ray_dist2,
     same_ray,
 )
+from kscolor.density import _gaussian_point, _true_point, false_ray_near
 from kscolor.povm import _float_psd_within
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -313,6 +314,69 @@ class TestClearedForm:
         assert v.cleared == ((3, 0, -1, 0), 3)
         with pytest.raises(AttributeError):
             v.cleared = ((1, 0, 0, 0), 1)
+
+
+def one_form_pool(rng, n):
+    """Vectors of length n built every way a GVector can be built, with
+    equal vectors reached by different paths."""
+    pool = [rand_gvector(rng, n)]
+    pool.append(GVector(pool[0].entries))
+    ints = [rng.choice((0, rng.randint(-30, 30))) for _ in range(2 * n)]
+    ints[rng.randrange(2 * n)] = rng.randint(1, 30) * rng.choice((1, -1))
+    pool.append(GVector.from_reals(ints))
+    pool.append(GVector.from_reals([Fraction(c, 3) * 3 for c in ints]))
+    dyadic = [Fraction(c, 2 ** rng.randint(0, 60)) for c in ints]
+    pool.append(GVector.from_reals(dyadic))
+    pool.append(GVector.from_reals([float(c) for c in dyadic]))
+    pool.append(GVector.from_reals(pool[0].real_coordinates()))
+    s = rand_scalar(rng)
+    pool += [pool[0].scaled(s), pool[0].scaled(s).scaled(1 / s.abs2() * s.conjugate())]
+    try:
+        pool += list(gram_schmidt([rand_gvector(rng, n) for _ in range(n)]))
+    except DegenerateInputError:
+        pass
+    a = [rng.choice((0, rng.randint(-10**9, 10**9))) for _ in range(2 * n)]
+    a[rng.randrange(2 * n)] = 1 + rng.randrange(10**9)
+    scale = rng.randint(1, 10**6)
+    pool += [_true_point(a, scale), _gaussian_point(a, scale)]
+    pool.append(GVector.from_reals(pool[-2].real_coordinates()))
+    target = [rng.uniform(-1, 1) for _ in range(2 * n)]
+    target[rng.randrange(2 * n)] = 1.0
+    res = false_ray_near(target, Fraction(1, rng.choice((10, 100, 10**4))))
+    pool += [res.object, *res.witness]
+    return pool
+
+
+class TestOneForm:
+    """``cleared`` is the only stored form, canonical whichever way the
+    vector was built, so equality and hashing can read it."""
+
+    @seed(20261025)
+    @given(seeds)
+    @settings(max_examples=150, deadline=None)
+    def test_every_path_gives_the_canonical_form(self, s):
+        rng = random.Random(s)
+        pool = one_form_pool(rng, rng.randint(2, 5))
+        for v in pool:
+            x, d = v.cleared
+            assert isinstance(x, tuple) and d > 0 and math.gcd(d, *x) == 1
+        for u in pool:
+            for v in pool:
+                same = u.real_coordinates() == v.real_coordinates()
+                assert (u == v) is same
+                if same:
+                    assert hash(u) == hash(v)
+
+    def test_only_the_cleared_slot(self):
+        v = GVector([GaussianRational(Fraction(1, 2)), GaussianRational(0, 3)])
+        assert GVector.__slots__ == ("cleared",)
+        assert v.cleared == ((1, 0, 0, 6), 2)
+        assert v.entries == (GaussianRational(Fraction(1, 2)), GaussianRational(0, 3))
+        assert GVector._of((2, 0, 0, 12), 4) == v
+        with pytest.raises(InvalidInputError):
+            GVector._of((0, 0, 0, 0), 5)
+        with pytest.raises(InvalidInputError):
+            GVector._of((1, 2), 1)
 
 
 class TestGramSchmidt:

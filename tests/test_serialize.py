@@ -198,6 +198,22 @@ class TestCompositeObjects:
         with pytest.raises(InvalidInputError):
             frame_from_obj({"legs": []})
 
+    @pytest.mark.parametrize("dimension", [2, 4, "2", "03", "three", 3.0, True, None])
+    def test_frame_dimension_must_match(self, dimension):
+        f = Frame([gvec(1, 0, 0, 0, 0, 0), gvec(0, 0, 1, 0, 0, 0),
+                   gvec(0, 0, 0, 0, 1, 0)])
+        assert frame_from_obj(dict(frame_to_obj(f), dimension="3")) == f
+        with pytest.raises(InvalidInputError, match="'dimension'"):
+            frame_from_obj(dict(frame_to_obj(f), dimension=dimension))
+
+    def test_frame_dimension_is_checked_against_legs(self):
+        obj = {"kind": "frame", "dimension": 3,
+               "legs": [vector_to_obj(gvec(1, 0, 0, 0)), vector_to_obj(gvec(0, 0, 1, 0))]}
+        with pytest.raises(InvalidInputError, match="'dimension'"):
+            frame_from_obj(obj)
+        del obj["dimension"]
+        assert frame_from_obj(obj).dimension == 2
+
     def test_gmatrix_roundtrip(self):
         m = GMatrix(
             [
@@ -234,6 +250,21 @@ class TestCompositeObjects:
         assert obj["kind"] == "povm"
         assert obj["dimension"] == 3
         assert len(obj["elements"]) == 2
+        assert povm_from_obj(obj) == d
+
+    @pytest.mark.parametrize("dimension", [2, "two", "2", 1.0, True, None])
+    def test_povm_dimension_must_match(self, dimension):
+        half_s2 = QuadComplex(QuadRational(0, Fraction(1, 2)))
+        rest = QuadComplex(QuadRational(1, Fraction(-1, 2)))
+        d = PovmDecomposition([PovmElement(QuadHermitian([[half_s2]])),
+                               PovmElement(QuadHermitian([[rest]]))])
+        obj = povm_to_obj(d)
+        assert obj["dimension"] == 1
+        assert povm_from_obj(obj) == d
+        assert povm_from_obj(dict(obj, dimension="1")) == d
+        with pytest.raises(InvalidInputError, match="'dimension'"):
+            povm_from_obj(dict(obj, dimension=dimension))
+        del obj["dimension"]
         assert povm_from_obj(obj) == d
 
     def test_povm_requires_kind_and_elements(self):
