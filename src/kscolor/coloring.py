@@ -147,6 +147,9 @@ class ProjectionRep:
     def __setattr__(self, name, value):
         raise AttributeError("ProjectionRep is immutable")
 
+    def __reduce__(self):
+        return ProjectionRep, (self.matrix,)
+
     def projector(self) -> GMatrix:
         """The idempotent projector M / c."""
         return self.matrix.scaled(GaussianRational(1 / self.idem_scale))

@@ -196,6 +196,9 @@ class QuadRational:
     def __setattr__(self, name, value):
         raise AttributeError("QuadRational is immutable")
 
+    def __reduce__(self):
+        return QuadRational, (self.rat, self.sqrt2)
+
     @classmethod
     def _coerce(cls, x) -> "QuadRational":
         if isinstance(x, QuadRational):
@@ -349,6 +352,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
+
     @classmethod
     def _coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
@@ -458,6 +464,9 @@ class QuadComplex:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadComplex is immutable")
+
+    def __reduce__(self):
+        return QuadComplex, (self.re, self.im)
 
     @classmethod
     def from_gaussian(cls, z: GaussianRational) -> "QuadComplex":

@@ -65,6 +65,9 @@ class RaySet:
     def __setattr__(self, name, value):
         raise AttributeError("RaySet is immutable")
 
+    def __reduce__(self):
+        return RaySet, (self.dimension, self.rays, self.labels)
+
     def __len__(self):
         return len(self.rays)
 

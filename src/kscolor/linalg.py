@@ -14,9 +14,10 @@ integers over one denominator.  ``inner_product``, ``norm2``, ``same_ray``,
 ``ray_dist2``, ``gram_schmidt`` (which builds its legs from its integers) and
 the ``Frame`` orthogonality check take integer dot products on that form.
 
-``psd_check`` decides positive semidefiniteness on integers: the matrix is
-cleared to Z[sqrt2] + iZ[sqrt2] and eliminated fraction-free (Bareiss, Math.
-Comp. 22, 1968), so no Fraction is normalized inside the elimination.
+A ``QuadHermitian`` likewise stores only its 4n^2 Q(sqrt2) coefficients as
+integers over one denominator.  ``+``, ``-``, ``scaled``, ``frob_dist2`` and
+``psd_check`` run on them; ``psd_check`` eliminates fraction-free in
+Z[sqrt2] + iZ[sqrt2] (Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import DegenerateInputError, InvalidInputError
 from .fields import (
     GAUSS_ZERO,
     GaussianRational,
-    QUAD_ZERO,
     QuadComplex,
     QuadRational,
     _coerce_fraction,
@@ -91,6 +91,9 @@ class GVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("GVector is immutable")
+
+    def __reduce__(self):
+        return GVector._of, self.cleared
 
     @classmethod
     def from_reals(cls, coords: Sequence) -> "GVector":
@@ -238,6 +241,9 @@ class Frame:
     def __setattr__(self, name, value):
         raise AttributeError("Frame is immutable")
 
+    def __reduce__(self):
+        return Frame, (self.legs,)
+
     @property
     def dimension(self) -> int:
         return len(self.legs)
@@ -329,6 +335,9 @@ class GMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("GMatrix is immutable")
 
+    def __reduce__(self):
+        return GMatrix, (self.rows,)
+
     @classmethod
     def identity(cls, n: int) -> "GMatrix":
         return cls(
@@ -410,71 +419,105 @@ def projector_of(v: GVector) -> GMatrix:
 
 
 class QuadHermitian:
-    """Hermitian matrix with QuadComplex entries, verified exactly."""
+    """Hermitian matrix with QuadComplex entries, verified exactly.
 
-    __slots__ = ("rows",)
+    ``cleared`` is the only stored form: (re.rat, re.sqrt2, im.rat, im.sqrt2)
+    of each entry, row by row, as integers x over one d > 0 with
+    gcd(d, x) = 1, so ``==`` and ``hash`` read it.  ``_of`` builds every
+    matrix; rows and entries are derived on each read.
+    """
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(QuadComplex._coerce(e) for e in row) for row in rows)
-        n = len(rs)
-        if n < 1 or any(len(r) != n for r in rs):
+    __slots__ = ("cleared",)
+
+    def __new__(cls, rows: Iterable[Iterable]) -> "QuadHermitian":
+        try:
+            rs = [[QuadComplex._coerce(e) for e in row] for row in rows]
+        except TypeError:
+            raise InvalidInputError("matrix entries must be exact QuadComplex values") from None
+        if any(len(r) != len(rs) for r in rs):
+            raise InvalidInputError("matrix must be square and nonempty")
+        return cls._of(*_cleared([q for r in rs for e in r
+                                  for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]))
+
+    @classmethod
+    def _of(cls, x: Sequence[int], d: int) -> "QuadHermitian":
+        """The matrix x/d, for integers x and d > 0; the one constructor.
+        Entry (j, i) must be (a, b, -c, -e) where entry (i, j) is (a, b, c, e)."""
+        n = math.isqrt(len(x) // 4)
+        if n < 1 or 4 * n * n != len(x):
             raise InvalidInputError("matrix must be square and nonempty")
         for i in range(n):
             for j in range(i, n):
-                if rs[i][j] != rs[j][i].conjugate():
+                a, b, c, e = x[4 * (n * i + j) : 4 * (n * i + j) + 4]
+                if tuple(x[4 * (n * j + i) : 4 * (n * j + i) + 4]) != (a, b, -c, -e):
                     raise InvalidInputError(f"not Hermitian at entry ({i}, {j})")
-        object.__setattr__(self, "rows", rs)
+        g = math.gcd(d, *x)
+        m = object.__new__(cls)
+        object.__setattr__(m, "cleared", (tuple([c // g for c in x]), d // g))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadHermitian is immutable")
 
+    def __reduce__(self):
+        return QuadHermitian._of, self.cleared
+
     @classmethod
     def identity(cls, n: int) -> "QuadHermitian":
-        return cls(
-            [QuadComplex(1 if i == j else 0) for j in range(n)] for i in range(n)
-        )
+        return cls._of([int(k % (4 * n + 4) == 0) for k in range(4 * n * n)], 1)
 
     @classmethod
     def zeros(cls, n: int) -> "QuadHermitian":
-        return cls([QuadComplex(0)] * n for _ in range(n))
+        return cls._of([0] * (4 * n * n), 1)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return math.isqrt(len(self.cleared[0]) // 4)
+
+    @property
+    def rows(self) -> tuple[tuple[QuadComplex, ...], ...]:
+        n = self.n
+        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def entry(self, i: int, j: int) -> QuadComplex:
-        return self.rows[i][j]
+        (x, d), n = self.cleared, self.n
+        k = 4 * (n * range(n)[i] + range(n)[j])  # IndexError out of range, as rows[i][j]
+        return QuadComplex(QuadRational(Fraction(x[k], d), Fraction(x[k + 1], d)),
+                           QuadRational(Fraction(x[k + 2], d), Fraction(x[k + 3], d)))
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign*other on the integers, over the lcm of the denominators."""
         if not isinstance(other, QuadHermitian) or other.n != self.n:
             return NotImplemented
-        return QuadHermitian(
-            (a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
+        (x, dx), (y, dy) = self.cleared, other.cleared
+        d = math.lcm(dx, dy)
+        p, q = d // dx, sign * (d // dy)
+        return QuadHermitian._of([a * p + b * q for a, b in zip(x, y)], d)
 
     def __sub__(self, other):
-        if not isinstance(other, QuadHermitian) or other.n != self.n:
-            return NotImplemented
-        return QuadHermitian(
-            (a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
+        return self.__add__(other, -1)
 
     def scaled(self, s) -> "QuadHermitian":
         """Scale by a real QuadRational (keeps the matrix Hermitian)."""
         if not isinstance(s, QuadRational):
             s = QuadRational(s)
-        return QuadHermitian((e * QuadComplex(s) for e in row) for row in self.rows)
+        (p, q), den = _cleared((s.rat, s.sqrt2))
+        x, d = self.cleared
+        out = []
+        for a, b in zip(x[::2], x[1::2]):  # (a + b*sqrt2)(p + q*sqrt2)
+            out += (a * p + 2 * b * q, a * q + b * p)
+        return QuadHermitian._of(out, d * den)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return not any(self.cleared[0])
 
     def __eq__(self, other):
         if not isinstance(other, QuadHermitian):
             return NotImplemented
-        return self.rows == other.rows
+        return self.cleared == other.cleared
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.cleared)
 
     def __repr__(self):
         return f"QuadHermitian({[list(r) for r in self.rows]!r})"
@@ -483,8 +526,8 @@ class QuadHermitian:
 def psd_check(a: QuadHermitian) -> bool:
     """Exact positive semidefiniteness of a Q(sqrt2)-complex Hermitian matrix.
 
-    The matrix is multiplied by the lcm of its denominators (a positive
-    scale, so PSD is unchanged) into Z[sqrt2] + iZ[sqrt2].  Elimination
+    Its ``cleared`` integers are the matrix times a positive scale (so PSD
+    is unchanged), in Z[sqrt2] + iZ[sqrt2].  Elimination
     pivots on any positive diagonal entry; a negative one disproves PSD, and
     an all-zero diagonal block must vanish.  Each step is the fraction-free
     (Bareiss) update w_ij <- (p*w_ij - w_ik*w_kj) / p_prev for the pivot p
@@ -494,9 +537,7 @@ def psd_check(a: QuadHermitian) -> bool:
     That minor is the leading principal minor of the pivots (positive) times
     the Schur complement entry, so signs and zeros are the Schur complement's.
     """
-    n = a.n
-    x = _cleared(q for row in a.rows for e in row
-                 for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
+    n, x = a.n, a.cleared[0]
     return _psd_cleared(
         [[x[k : k + 4] for k in range(4 * n * i, 4 * n * (i + 1), 4)] for i in range(n)]
     )
@@ -562,9 +603,9 @@ def frob_dist2(a, b):
     if isinstance(a, QuadHermitian) and isinstance(b, QuadHermitian):
         if a.n != b.n:
             raise InvalidInputError("matrix size mismatch")
-        acc = QUAD_ZERO
-        for ra, rb in zip(a.rows, b.rows):
-            for x, y in zip(ra, rb):
-                acc = acc + (x - y).abs2()
-        return acc
+        # |a + b*sqrt2|^2 = a^2 + 2b^2 + 2ab*sqrt2 for each coefficient pair.
+        x, d = (a - b).cleared
+        rat = sum(map(mul, x, x)) + sum(c * c for c in x[1::2])
+        s2 = 2 * sum(map(mul, x[::2], x[1::2]))
+        return QuadRational(Fraction(rat, d * d), Fraction(s2, d * d))
     raise InvalidInputError("frob_dist2 expects two GMatrix or two QuadHermitian")

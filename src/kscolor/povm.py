@@ -21,9 +21,9 @@ carries the achieved distance.
 
 The construction runs on integers.  Every binary64 entry is an exact dyadic
 p/2^k, so the input PSD check, the rounding (ties to even) and the distance
-certificate work on integer numerators over 2^k and L*2^k; only the
-returned elements are built from Fractions.  The exact sum to I is checked
-componentwise on (re.rat, re.sqrt2, im.rat, im.sqrt2).
+certificate work on integer numerators over 2^k and L*2^k, and each returned
+element is built from its lattice integers over L times the corner's
+denominator.  The exact sum to I is a sum of ``QuadHermitian`` integer forms.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .fields import QuadComplex, QuadRational, _coerce_eps, format_fraction, rationalize
+from .fields import QuadRational, _coerce_eps, format_fraction, rationalize
 from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
 
 
@@ -57,6 +57,9 @@ class PovmElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("PovmElement is immutable")
+
+    def __reduce__(self):
+        return PovmElement, (self.matrix,)
 
     @property
     def n(self) -> int:
@@ -89,18 +92,15 @@ class PovmDecomposition:
         n = elems[0].n
         if any(e.n != n for e in elems):
             raise InvalidInputError("decomposition elements must share one dimension")
-        # Componentwise on (re.rat, re.sqrt2, im.rat, im.sqrt2); each element
-        # is Hermitian, so the upper triangle decides.
-        for i in range(n):
-            for j in range(i, n):
-                zs = [e.matrix.rows[i][j] for e in elems]
-                if (sum(z.re.rat for z in zs) != (i == j) or sum(z.re.sqrt2 for z in zs)
-                        or sum(z.im.rat for z in zs) or sum(z.im.sqrt2 for z in zs)):
-                    raise InvalidInputError("elements do not sum exactly to the identity")
+        if sum((e.matrix for e in elems[1:]), elems[0].matrix) != QuadHermitian.identity(n):
+            raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
 
     def __setattr__(self, name, value):
         raise AttributeError("PovmDecomposition is immutable")
+
+    def __reduce__(self):
+        return PovmDecomposition, (self.elements,)
 
     @property
     def n(self) -> int:
@@ -155,12 +155,6 @@ def truth_sum(d: PovmDecomposition) -> int:
     return 1
 
 
-def _e11_slice(n: int, value: QuadRational) -> QuadHermitian:
-    rows = [[QuadComplex(0)] * n for _ in range(n)]
-    rows[0][0] = QuadComplex(value)
-    return QuadHermitian(rows)
-
-
 def classify_with_witness(
     a: PovmElement,
 ) -> tuple[TruthValue, Optional[PovmDecomposition]]:
@@ -192,7 +186,7 @@ def classify_with_witness(
     # so it is not TRUE when delta >= mu.sqrt2.
     delta = rationalize(mu.to_float() / 3, 10 ** 6)
     if 0 < delta and mu.sqrt2 <= delta:
-        bump = _e11_slice(n, QuadRational(0, delta))
+        bump = _element([[(0, 0)] * n] * n, 1, delta)
         third = complement - bump
         if psd_check(third):
             return TruthValue.FALSE, PovmDecomposition([a, bump, third])
@@ -304,9 +298,7 @@ def _try_exact_passthrough(targets) -> Optional[PovmDecomposition]:
     if not all(isinstance(t, (QuadHermitian, PovmElement)) for t in targets):
         return None
     try:
-        d = PovmDecomposition(
-            [t if isinstance(t, PovmElement) else PovmElement(t) for t in targets]
-        )
+        d = PovmDecomposition(targets)
     except InvalidInputError:
         return None
     if is_suitable(d):
@@ -332,12 +324,12 @@ def _lattice_point(t, theta: Fraction, m: int, scale: int, k: int):
     return out
 
 
-def _element(point, scale: int, corner_sqrt2: Fraction) -> QuadHermitian:
-    rows = [[QuadComplex(Fraction(x, scale), Fraction(y, scale)) for x, y in row]
-            for row in point]
-    corner = QuadRational(Fraction(point[0][0][0], scale), corner_sqrt2)
-    rows[0][0] = QuadComplex(corner)
-    return QuadHermitian(rows)
+def _element(point, scale: int, corner: Fraction) -> QuadHermitian:
+    """``point``/scale (integer pairs (re, im)) plus corner*sqrt2 at (1,1)."""
+    den = corner.denominator
+    x = [c * den for row in point for re, im in row for c in (re, 0, im, 0)]
+    x[1] = corner.numerator * scale
+    return QuadHermitian._of(x, scale * den)
 
 
 def _dist2(point, scale: int, corner: Fraction, t, k: int) -> QuadRational:
@@ -448,7 +440,7 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
         )
     work = [_element(p, scale, c) for p, c in zip(points, corners)]
     if split:
-        work.append(_e11_slice(n, QuadRational(0, delta)))
+        work.append(_element([[(0, 0)] * n] * n, 1, delta))
     try:
         dec = PovmDecomposition(work)
     except InvalidInputError as exc:

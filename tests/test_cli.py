@@ -620,6 +620,29 @@ class TestByteStability:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "element, via_slice, digest",
+        [
+            ('[["1/4","1/8+1/16s2",{"re":"0","im":"1/10"}],["1/8+1/16s2","1/3",0],'
+             '[{"re":"0","im":"-1/10"},0,"1/2"]]', True,
+             "8535b437eee031c50d45822335031686ee9b2647cc84560545985181545d4dcb"),
+            ('[["1/2",{"re":"1/4+1/8s2","im":"1/5"},0],[{"re":"1/4+1/8s2","im":"-1/5"},"1/2",0],'
+             '[0,0,"1/3-1/5s2"]]', False,
+             "64fcba8a59e5eb38f18900264a4ec1db5ca86d8908086e101ecc45c88632cb70"),
+        ],
+    )
+    def test_classify_povm_witness_bytes_pinned(self, element, via_slice, digest):
+        """Pins the two witness paths of classify-povm: the delta*sqrt2*E11
+        slice, and the complement scaled by lam and 1 - lam; the digests were
+        recorded with the Fraction-entry QuadHermitian arithmetic."""
+        code, out, _ = run_main(["classify-povm", element])
+        assert code == 0
+        second = json.loads(out)["witness"]["elements"][1]
+        off_corner = [e for k, e in enumerate(x for row in second for x in row) if k]
+        zero = {"rat": "0", "sqrt2": "0"}
+        assert all(e == {"re": zero, "im": zero} for e in off_corner) is via_slice
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_keys_sorted_and_compact(self):
         _, out, _ = run_main(["ks-solve", "peres33"])
         assert out == json.dumps(

@@ -30,7 +30,12 @@ from kscolor.linalg import (
     same_ray,
 )
 from kscolor.density import _gaussian_point, _true_point, false_ray_near
-from kscolor.povm import _float_psd_within
+from kscolor.povm import (
+    PovmElement,
+    _float_psd_within,
+    classify_with_witness,
+    make_suitable_near,
+)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
@@ -377,6 +382,167 @@ class TestOneForm:
             GVector._of((0, 0, 0, 0), 5)
         with pytest.raises(InvalidInputError):
             GVector._of((1, 2), 1)
+
+
+# Test-only references for QuadHermitian arithmetic: the entrywise QuadComplex
+# code that the integer ``+``, ``-``, ``scaled`` and ``frob_dist2`` replaced.
+
+
+def reference_add(a: QuadHermitian, b: QuadHermitian) -> list[list[QuadComplex]]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+
+
+def reference_sub(a: QuadHermitian, b: QuadHermitian) -> list[list[QuadComplex]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+
+
+def reference_scaled(a: QuadHermitian, s: QuadRational) -> list[list[QuadComplex]]:
+    return [[e * QuadComplex(s) for e in row] for row in a.rows]
+
+
+def reference_frob_dist2(a: QuadHermitian, b: QuadHermitian) -> QuadRational:
+    acc = QuadRational(0)
+    for ra, rb in zip(a.rows, b.rows):
+        for x, y in zip(ra, rb):
+            acc = acc + (x - y).abs2()
+    return acc
+
+
+def rand_quad_nonzero(rng):
+    """A Q(sqrt2) scalar with a nonzero sqrt2 part most of the time."""
+    while True:
+        s = QuadRational(Fraction(rng.randint(-36, 36), rng.randint(1, 9)),
+                         Fraction(rng.randint(-36, 36), rng.randint(1, 9)))
+        if not s.is_zero():
+            return s
+
+
+def rand_float_povm(rng, n, m):
+    """m float targets I/m + H_k with Hermitian H_k summing to zero, each
+    small enough to keep its target positive definite."""
+    hs = [[[0j] * n for _ in range(n)] for _ in range(m)]
+    for k in range(m - 1):
+        for i in range(n):
+            hs[k][i][i] = rng.uniform(-1, 1) / (8 * m * n)
+            for j in range(i + 1, n):
+                z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) / (8 * m * n)
+                hs[k][i][j], hs[k][j][i] = z, z.conjugate()
+    for i in range(n):
+        for j in range(n):
+            hs[-1][i][j] = -sum(h[i][j] for h in hs[:-1])
+    return [[[h[i][j] + (i == j) / m for j in range(n)] for i in range(n)] for h in hs]
+
+
+def matrix_pool(rng, n):
+    """n by n matrices built every way a QuadHermitian can be built, with
+    equal matrices reached by different paths."""
+    ints = [[0] * n for _ in range(n)]
+    fracs = [[Fraction(0)] * n for _ in range(n)]
+    quads = [[QuadRational(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            ints[i][j] = ints[j][i] = rng.randint(-9, 9)
+            fracs[i][j] = fracs[j][i] = Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+            quads[i][j] = quads[j][i] = rand_quad(rng)
+    a = QuadHermitian(rand_hermitian(rng, n))
+    b = QuadHermitian(rand_hermitian(rng, n))
+    s = rand_quad_nonzero(rng)
+    pool = [QuadHermitian(ints), QuadHermitian(fracs), QuadHermitian(quads), a, b,
+            QuadHermitian(a.rows), QuadHermitian.identity(n), QuadHermitian.zeros(n),
+            QuadHermitian([[int(i == j) for j in range(n)] for i in range(n)]),
+            QuadHermitian([[Fraction(0)] * n for _ in range(n)]),
+            a + b, a - b, b - a, (a + b) - b, a - a, a + QuadHermitian.zeros(n),
+            a.scaled(s), a.scaled(s).scaled(1 / s), a.scaled(0), a.scaled(2),
+            a + a, QuadHermitian(fracs).scaled(Fraction(1, 3))]
+    m = rng.randint(1, 4)
+    dec = make_suitable_near(rand_float_povm(rng, n, m), Fraction(1, rng.choice((10, 10**4))),
+                             allow_split=True)
+    for e in dec:
+        pool.append(e.matrix)
+        _, witness = classify_with_witness(e)
+        if witness is not None:
+            pool += [w.matrix for w in witness]
+    return pool
+
+
+class TestMatrixForm:
+    """``cleared`` is the only stored form of a QuadHermitian, canonical
+    whichever way the matrix was built, so equality and hashing can read it;
+    ``+``, ``-``, ``scaled`` and ``frob_dist2`` on it match the entrywise
+    QuadComplex code."""
+
+    @seed(20261027)
+    @given(seeds)
+    @settings(max_examples=60, deadline=None)
+    def test_every_path_gives_the_canonical_form(self, s):
+        rng = random.Random(s)
+        n = rng.randint(1, 4)
+        pool = matrix_pool(rng, n)
+        for m in pool:
+            x, d = m.cleared
+            assert isinstance(x, tuple) and len(x) == 4 * n * n
+            assert all(isinstance(c, int) for c in x) and d > 0 and math.gcd(d, *x) == 1
+        for u in pool:
+            for v in pool:
+                same = u.rows == v.rows
+                assert (u == v) is same
+                if same:
+                    assert hash(u) == hash(v)
+
+    @seed(20261028)
+    @given(seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_reference(self, s):
+        rng = random.Random(s)
+        n = rng.randint(1, 4)
+        a, b = QuadHermitian(rand_hermitian(rng, n)), QuadHermitian(rand_hermitian(rng, n))
+        s = rng.choice((rand_quad_nonzero(rng), rand_quad(rng)))
+        assert [list(r) for r in (a + b).rows] == reference_add(a, b)
+        assert [list(r) for r in (a - b).rows] == reference_sub(a, b)
+        assert [list(r) for r in a.scaled(s).rows] == reference_scaled(a, s)
+        assert frob_dist2(a, b) == reference_frob_dist2(a, b)
+        assert (a - b).is_zero() is (a == b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_identity_and_zeros(self, n):
+        one, zero = QuadComplex(1), QuadComplex(0)
+        want = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        assert QuadHermitian.identity(n).rows == want
+        assert QuadHermitian.zeros(n).rows == tuple((zero,) * n for _ in range(n))
+        assert QuadHermitian.zeros(n).is_zero() and not QuadHermitian.identity(n).is_zero()
+
+    def test_only_the_cleared_slot(self):
+        m = QuadHermitian([[Fraction(1, 2), QuadComplex(QuadRational(0, 1), 3)],
+                           [QuadComplex(QuadRational(0, 1), -3), QuadRational(0, Fraction(1, 4))]])
+        assert QuadHermitian.__slots__ == ("cleared",)
+        assert m.cleared == ((2, 0, 0, 0, 0, 4, 12, 0, 0, 4, -12, 0, 0, 1, 0, 0), 4)
+        assert m.n == 2 and m.entry(1, 1) == QuadComplex(QuadRational(0, Fraction(1, 4)))
+        assert QuadHermitian._of([4, 0, 0, 0, 0, 8, 24, 0, 0, 8, -24, 0, 0, 2, 0, 0], 8) == m
+        with pytest.raises(AttributeError):
+            m.cleared = ((1, 0, 0, 0), 1)
+
+    @pytest.mark.parametrize("x", [
+        (1, 0, 1, 0),
+        (1, 0, 0, 1),
+        (1, 0, 0, 0, 0, 1, 2, 0, 0, 1, 2, 0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0),
+        (1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0),
+    ])
+    def test_of_rejects_non_hermitian(self, x):
+        with pytest.raises(InvalidInputError, match="not Hermitian"):
+            QuadHermitian._of(x, 1)
+
+    @pytest.mark.parametrize("x", [(), (1, 0, 0), (1,) * 8, (1,) * 12])
+    def test_of_rejects_non_square_lengths(self, x):
+        with pytest.raises(InvalidInputError, match="square"):
+            QuadHermitian._of(x, 1)
+
+    @pytest.mark.parametrize("rows", [5, "ab", [[None]], [[1.5]], [[1, 2], [2]], []])
+    def test_junk_matrices_raise_invalid_input(self, rows):
+        with pytest.raises(InvalidInputError):
+            QuadHermitian(rows)
+        with pytest.raises(InvalidInputError):
+            PovmElement(rows)
 
 
 class TestGramSchmidt:

@@ -22,7 +22,7 @@ from kscolor.povm import (
     PovmElement,
     _dist2,
     _dyadic,
-    _e11_slice,
+    _element,
     classify_element,
     classify_with_witness,
     is_suitable,
@@ -351,6 +351,7 @@ class TestDistanceCertificate:
         (ints,), bits = _dyadic([target])
         got = _dist2(point, scale, corner, ints, bits)
         assert got == reference_dist2(_element_ref(point, scale, corner), target)
+        assert _element(point, scale, corner).rows == _element_ref(point, scale, corner).rows
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_split_element(self, n):
@@ -359,7 +360,7 @@ class TestDistanceCertificate:
         zero = [[0j] * n for _ in range(n)]
         (ints,), bits = _dyadic([zero])
         point = [[(0, 0)] * n for _ in range(n)]
-        want = reference_dist2(_e11_slice(n, QuadRational(0, delta)), zero)
+        want = reference_dist2(diag(qc(0, delta), *[0] * (n - 1)), zero)
         assert want == QuadRational(2 * delta * delta)
         assert _dist2(point, 7, delta, ints, bits) == want
 

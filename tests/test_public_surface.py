@@ -1,13 +1,18 @@
 """The public surface: every exported name resolves, every function the
 benchmark's span tracer wraps still exists, and the benchmark's own
 self-test passes, so a library change cannot break a benchmark run
-unnoticed."""
+unnoticed.  Every exported value type survives copy and pickle."""
 
 import ast
+import copy
 import importlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import kscolor
 
@@ -46,3 +51,35 @@ def test_benchmark_selftest_passes():
         cwd=BENCHMARKS.parent, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def _value_instances():
+    """One instance of every exported value class."""
+    g, q, c = kscolor.GaussianRational, kscolor.QuadRational, kscolor.QuadComplex
+    half_s2 = c(q(0, Fraction(1, 2)))
+    return [
+        q(Fraction(1, 3), -2),
+        g(Fraction(-1, 2), 5),
+        c(q(1, Fraction(1, 4)), q(Fraction(2, 3), -1)),
+        kscolor.GVector([g(1), g(0, Fraction(1, 3))]),
+        kscolor.Frame([[g(1), g(0)], [g(0), g(1)]]),
+        kscolor.GMatrix([[1, g(0, 1)], [g(0, -1), 1]]),
+        kscolor.QuadHermitian([[half_s2, c(0, Fraction(1, 5))], [c(0, Fraction(-1, 5)), 1]]),
+        kscolor.PovmElement([[half_s2, 0], [0, 0]]),
+        kscolor.PovmDecomposition([[[half_s2]], [[1 - half_s2]]]),
+        kscolor.ProjectionRep([[1, 0], [0, 0]]),
+        kscolor.load_builtin("peres33"),
+    ]
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
+], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("value", _value_instances(), ids=lambda v: type(v).__name__)
+def test_value_types_copy_and_pickle(value, copier):
+    got = copier(value)
+    assert type(got) is type(value)
+    if isinstance(value, kscolor.RaySet):
+        assert (got.rays, got.labels, got.dimension) == (value.rays, value.labels, value.dimension)
+    else:
+        assert got == value
