@@ -90,11 +90,22 @@ def _scale(eps: Fraction, m: int, factor: int) -> int:
     return scale + (scale % 3 == 0)
 
 
-def _gaussian_point(a: list[int], scale: int) -> GVector:
+def _off3(c: int, scale: int, span: int) -> int:
+    """c M / S rounded, then moved by 1 toward c M / S if 3 divides it."""
+    x = _round_div(c * scale, span)
+    if x % 3 == 0:
+        x += 1 if c * scale >= x * span else -1
+    return x
+
+
+def _gaussian_point(a: list[int], scale: int, nudge: bool = False) -> GVector:
     """The Gaussian-integer vector nearest to the target, given as cleared
-    integers a, scaled by M."""
+    integers a, scaled by M; ``nudge`` keeps coordinate 1 off 3Z."""
     span = max(map(abs, a))
-    return GVector._of([_round_div(c * scale, span) for c in a], 1)
+    y = [_round_div(c * scale, span) for c in a]
+    if nudge:
+        y[0] = _off3(a[0], scale, span)
+    return GVector._of(y, 1)
 
 
 def _true_point(a: list[int], scale: int) -> GVector:
@@ -107,10 +118,7 @@ def _true_point(a: list[int], scale: int) -> GVector:
     """
     span = max(map(abs, a))
     first, *rest = a
-    x1 = _round_div(first * scale, span)
-    if x1 % 3 == 0:
-        x1 += 1 if first * scale >= x1 * span else -1
-    xs = [x1]
+    xs = [_off3(first, scale, span)]
     for c in rest:
         xi = 3 * _round_div(c * scale, 3 * span)
         xs.append(xi if xi else (3 if c >= 0 else -3))
@@ -185,11 +193,11 @@ def _validate_frame_target(targets) -> list[list[float]]:
             f"each of the {n} target vectors must hold {2 * n} real coordinates"
         )
     # Gram matrix of the complex vectors must be within 1e-6 of the identity.
-    for i in range(n):
-        zi = [complex(rows[i][2 * k], rows[i][2 * k + 1]) for k in range(n)]
+    zs = [[complex(r[2 * k], r[2 * k + 1]) for k in range(n)] for r in rows]
+    for i, zi in enumerate(zs):
+        zi = [z.conjugate() for z in zi]
         for j in range(i, n):
-            zj = [complex(rows[j][2 * k], rows[j][2 * k + 1]) for k in range(n)]
-            g = sum(a.conjugate() * b for a, b in zip(zi, zj))
+            g = sum([a * b for a, b in zip(zi, zs[j])])
             want = 1.0 if i == j else 0.0
             if abs(g - want) > 1e-6:
                 raise InvalidInputError(
@@ -211,11 +219,18 @@ def suitable_frame_near(targets: Sequence[Sequence], eps) -> ApproxResult:
     rows = _validate_frame_target(targets)
     eps = _coerce_eps(eps)
     n = len(rows)
-    scale = _scale(eps, 2 * n, 4 * n)
+    return _frame_near(rows, eps, _scale(eps, 2 * n, 4 * n))
+
+
+def _frame_near(rows: list[list[float]], eps: Fraction, scale: int,
+                nudge: bool = False) -> ApproxResult:
+    """``suitable_frame_near`` of validated targets at a scale M >= the
+    proven one, 3 not dividing M.  ``nudge`` keeps each rounding y with
+    Re<x, y> = x_1 y_1 != 0 mod 3 for the TRUE point x: never orthogonal."""
     cleared = [_cleared(row)[0] for row in rows]
     frame = gram_schmidt(
         [_true_point(cleared[0], scale)]
-        + [_gaussian_point(a, scale) for a in cleared[1:]]
+        + [_gaussian_point(a, scale, nudge) for a in cleared[1:]]
     )
     values = _true_leg_first(frame)
     worst = max(_dist2(leg, a) for leg, a in zip(frame, cleared))

@@ -11,7 +11,9 @@ by clique extension over neighbors.  ``find_ks_coloring`` decides
 colorability by backtracking with unit propagation; ``brute_force_coloring``
 is the independent cross-check for small instances.  ``perturb_to_suitable``
 replaces every context by a nearby exactly-suitable frame, showing how
-shared rays diverge into per-context copies.
+shared rays diverge into per-context copies: one pass at per-context
+lattice scales, then at most one deterministic repair of the contexts whose
+copies coincide, checked by canonical ray keys.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from .coloring import TruthValue, truth_sum
-from .density import suitable_frame_near
+from .density import _frame_near, _scale, _validate_frame_target
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import QuadComplex, QuadRational, _coerce_eps
-from .linalg import Frame, _cleared, same_ray
+from .linalg import Frame, _cleared, _ray_key
 from .serialize import format_quad_token, parse_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
@@ -311,94 +313,84 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     Contexts are perturbed independently, so a ray shared by several
     contexts receives one exact perturbed copy per context; the report shows
     these copies are pairwise distinct rays (the contradiction-dissolving
-    divergence).  Deterministic coincidences (for instance two contexts
-    whose shared ray leads both constructions to the same TRUE approximant)
-    are detected by exact projective comparison and re-perturbed at a
-    slightly smaller epsilon.
+    divergence).  Context c takes its first ray as TRUE leg and is built at
+    the scale M + 3c, where M is the scale ``suitable_frame_near`` proves for
+    eps, so TRUE copies of one ray come from different scales.  A FALSE copy
+    can still equal another when its rounding is already orthogonal to the
+    TRUE leg.  The later context of each such pair is rebuilt once, with its
+    coinciding legs just after the TRUE leg (the last leg is forced by the
+    others) and the roundings nudged so that Gram-Schmidt must turn them.
+    Copies are compared by canonical ray keys; one that still coincides
+    raises ResourceLimitError.
     """
     eps = _coerce_eps(eps)
     g = build_graph(rs)
     if not g.contexts:
         raise InvalidInputError("the ray set has no full context to perturb")
+    n = rs.dimension
+    scale = _scale(eps, 2 * n, 4 * n)
+    targets = {}
+    for i in set().union(*g.contexts):
+        v = rs.ray_floats(i)
+        nrm = math.sqrt(sum(x * x for x in v))
+        targets[i] = [x / nrm for x in v]
 
-    def perturb(ctx, scale_eps):
-        targets = []
-        for i in ctx:
-            v = rs.ray_floats(i)
-            nrm = math.sqrt(sum(x * x for x in v))
-            targets.append([x / nrm for x in v])
-        return suitable_frame_near(targets, scale_eps)
+    def perturb(ci, moved=()):
+        """Context ci's frame, values and distance; a repair puts the legs
+        at positions ``moved`` right after the TRUE leg and nudges."""
+        order = [0, *moved, *(p for p in range(1, n) if p not in moved)]
+        rows = _validate_frame_target([targets[g.contexts[ci][p]] for p in order])
+        res = _frame_near(rows, eps, scale + 3 * ci, nudge=bool(moved))
+        if not moved:
+            return res.object, res.certificate, res.achieved_dist2
+        legs, values = [None] * n, [None] * n
+        for p, leg, value in zip(order, res.object, res.certificate):
+            legs[p], values[p] = leg, value
+        return Frame(legs), values, res.achieved_dist2
 
-    results = {ci: perturb(ctx, eps) for ci, ctx in enumerate(g.contexts)}
+    results = [perturb(ci) for ci in range(len(g.contexts))]
 
     membership: dict[int, list[tuple[int, int]]] = {}
     for ci, ctx in enumerate(g.contexts):
         for pos, ray in enumerate(ctx):
             membership.setdefault(ray, []).append((ci, pos))
-    shared = {ray: occ for ray, occ in membership.items() if len(occ) > 1}
+    shared = {ray: occ for ray, occ in sorted(membership.items()) if len(occ) > 1}
 
-    for attempt in range(1, 21):
-        redo = set()
-        for ray, occ in shared.items():
-            for (c1, p1), (c2, p2) in itertools.combinations(occ, 2):
-                v1 = results[c1].object[p1]
-                v2 = results[c2].object[p2]
-                if same_ray(v1, v2):
-                    redo.add(max(c1, c2))
-        if not redo:
-            break
-        shrink = eps * Fraction(2, 3) ** attempt
-        for ci in sorted(redo):
-            results[ci] = perturb(g.contexts[ci], shrink)
-    else:
-        raise ResourceLimitError(
-            "could not separate shared rays across contexts within 20 attempts"
-        )
+    def keys():
+        return {(ci, p): _ray_key(results[ci][0][p]) for occ in shared.values()
+                for ci, p in occ}
+
+    key = keys()
+    redo: dict[int, list[int]] = {}
+    for occ in shared.values():
+        seen = set()
+        for ci, p in occ:
+            if p and key[ci, p] in seen:
+                redo.setdefault(ci, []).append(p)
+            seen.add(key[ci, p])
+    for ci, moved in redo.items():
+        results[ci] = perturb(ci, sorted(moved))
+    if redo:
+        key = keys()
 
     contexts = []
     all_suitable = True
     for ci, ctx in enumerate(g.contexts):
-        frame = results[ci].object
-        values = list(results[ci].certificate)
+        frame, values, dist2 = results[ci]
         total = truth_sum(frame)
         if total != 1 or values.count(TruthValue.TRUE) != 1:
             all_suitable = False
-        contexts.append(
-            PerturbedContext(
-                index=ci,
-                ray_indices=ctx,
-                frame=frame,
-                values=values,
-                truth_total=total,
-                max_dist2=results[ci].achieved_dist2,
-            )
-        )
+        contexts.append(PerturbedContext(ci, ctx, frame, values, total, dist2))
 
-    divergences = []
-    all_diverge = True
-    for ray in sorted(shared):
-        occ = shared[ray]
-        for (c1, p1), (c2, p2) in itertools.combinations(occ, 2):
-            distinct = not same_ray(results[c1].object[p1], results[c2].object[p2])
-            if not distinct:
-                all_diverge = False
-            divergences.append(
-                DivergenceEntry(
-                    ray_index=ray,
-                    label=rs.labels[ray],
-                    context_a=c1,
-                    context_b=c2,
-                    distinct=distinct,
-                )
-            )
+    divergences = [
+        DivergenceEntry(ray, rs.labels[ray], c1, c2, key[c1, p1] != key[c2, p2])
+        for ray, occ in shared.items()
+        for (c1, p1), (c2, p2) in itertools.combinations(occ, 2)
+    ]
+    if not all(d.distinct for d in divergences):
+        raise ResourceLimitError("could not separate the copies of a shared ray")
 
-    return NullificationReport(
-        epsilon=eps,
-        contexts=contexts,
-        divergences=divergences,
-        all_suitable=all_suitable,
-        all_shared_diverge=all_diverge,
-    )
+    return NullificationReport(eps, contexts, divergences, all_suitable, True)
 
 
 def _parse_component(token: str, field: str) -> QuadComplex:

@@ -2,17 +2,18 @@
 
 Vectors and matrices are immutable.  Rays are stored unnormalized: scaling a
 vector by a nonzero scalar does not change the ray it represents, and every
-operation that compares rays does so through the scale and phase invariant
-squared projector distance ``ray_dist2``.
+operation that compares rays does so through a scale and phase invariant:
+the squared projector distance ``ray_dist2`` or the ray key ``_ray_key``.
 
 Every exact check runs on cleared integers.  ``_cleared`` multiplies a
 sequence of rationals by the lcm d of their denominators (a positive scale,
 so rays, orthogonality, projector distances and PSD are unchanged); it is
 the one clearing helper, and ``_round_div`` the one rounding rule.  The
 only stored form of a ``GVector`` is ``cleared``, its 2n real coordinates as
-integers over one denominator.  ``inner_product``, ``norm2``, ``same_ray``,
-``ray_dist2``, ``gram_schmidt`` (which builds its legs from its integers) and
-the ``Frame`` orthogonality check take integer dot products on that form.
+integers over one denominator.  ``inner_product``, ``norm2``, ``ray_dist2``,
+``gram_schmidt`` (which builds its legs from its integers) and the ``Frame``
+orthogonality check take integer dot products on that form; ``same_ray``
+compares the canonical ray keys ``_ray_key`` makes from it.
 
 A ``QuadHermitian`` likewise stores only its 4n^2 Q(sqrt2) coefficients as
 integers over one denominator.  ``+``, ``-``, ``scaled``, ``frob_dist2`` and
@@ -190,13 +191,24 @@ def _ray_dist2(x: Sequence[int], y: Sequence[int]) -> Fraction:
     return Fraction(2 * (norms - overlap), norms)
 
 
+def _ray_key(v: GVector) -> tuple[int, ...]:
+    """The canonical key of the ray of v: the primitive integer vector of
+    conj(v_k) * v, where v_k is the first nonzero entry of v.  Scaling v by
+    lambda scales conj(v_k) * v by |lambda|^2 > 0, so two vectors have one
+    key exactly when they are proportional over the Gaussian rationals."""
+    x = v.cleared[0]
+    k = next(k for k in range(0, len(x), 2) if x[k] or x[k + 1])
+    p, q = x[k], x[k + 1]
+    y = [c for k in range(0, len(x), 2)
+         for c in (p * x[k] + q * x[k + 1], p * x[k + 1] - q * x[k])]
+    g = math.gcd(*y)
+    return tuple([c // g for c in y])
+
+
 def same_ray(u: GVector, v: GVector) -> bool:
     """Whether u and v represent the same projective ray (exactly
-    proportional over the Gaussian rationals): equality in Cauchy-Schwarz."""
-    if len(u) != len(v):
-        return False
-    overlap, norms = _ray_overlap(u.cleared[0], v.cleared[0])
-    return overlap == norms
+    proportional over the Gaussian rationals): equal ``_ray_key``s."""
+    return _ray_key(u) == _ray_key(v)
 
 
 def ray_dist2(u: GVector, v: GVector) -> Fraction:

@@ -128,11 +128,12 @@ def classify_element(a: PovmElement) -> TruthValue:
     """TRUE iff the sqrt2-component of a11 is strictly positive.
 
     Non-TRUE elements are candidate-FALSE; classify_with_witness settles
-    whether a suitable decomposition actually contains them.
+    whether a suitable decomposition actually contains them.  The component
+    is read as its cleared integer, whose denominator is positive.
     """
     if not isinstance(a, PovmElement):
         a = PovmElement(a)
-    if a.a11().sqrt2 > 0:
+    if a.matrix.cleared[0][1] > 0:
         return TruthValue.TRUE
     return TruthValue.FALSE
 

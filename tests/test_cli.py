@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -568,8 +569,27 @@ class TestByteStability:
         code, out, _ = run_main(["ks-perturb", "peres33", "--epsilon", "1/10000"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "f6cb9e784fe5f64f62e716b642675746cc6e68d29e32e39fbc07e38a8f575cc1"
+            "359b867c8c75bfc908e46792ef7fb739f1993a45c20e562058527daf363c6653"
         )
+
+    def test_ks_perturb_peres24_bytes_pinned(self):
+        """Pins the peres24 report, whose repaired contexts reorder their
+        legs for Gram-Schmidt and nudge their roundings."""
+        code, out, _ = run_main(["ks-perturb", "peres24", "--epsilon", "1/10000"])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "bc25882cec276df585f8fccfd8fd066c541a417ccf265824696efa6e193b6530"
+        )
+
+    def test_ks_perturb_tiny_epsilon_is_bounded(self):
+        """One pass plus one repair: no retry loop shrinks eps, so a tiny
+        eps costs one construction at a large scale."""
+        t0 = time.monotonic()
+        code, out, _ = run_main(["ks-perturb", "peres24", "--epsilon", "1e-500"])
+        assert time.monotonic() - t0 < 20.0
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_shared_diverge"] is True and doc["all_suitable"] is True
 
     def test_make_suitable_povm_bytes_pinned(self):
         """Pins the lattice point, the corner transfer and the serialized

@@ -2,16 +2,18 @@
 cross-check, and per-context suitable perturbation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from kscolor.coloring import TruthValue
-from kscolor.errors import InvalidInputError
-from kscolor.fields import QuadComplex, QuadRational
+from kscolor import kscheck
+from kscolor.errors import InvalidInputError, ResourceLimitError
+from kscolor.fields import GaussianRational, QuadComplex, QuadRational
 from kscolor.kscheck import (
     OrthGraph,
     RaySet,
@@ -24,6 +26,7 @@ from kscolor.kscheck import (
     load_rayset,
     perturb_to_suitable,
 )
+from kscolor.linalg import GVector, _ray_key, inner_product, norm2, ray_dist2, same_ray
 
 
 def rational_rayset(vectors, dimension, labels=None):
@@ -317,6 +320,158 @@ class TestPerturb:
         rs = rational_rayset([(1, 0, 0), (0, 1, 0)], 3)
         with pytest.raises(InvalidInputError):
             perturb_to_suitable(rs, Fraction(1, 100))
+
+
+def zero_pm1(n):
+    """{0,+-1}^n with a positive first nonzero entry: 40 rays and 32
+    contexts for n = 4, 121 rays and 136 contexts for n = 5."""
+    rays = [v for v in itertools.product((0, 1, -1), repeat=n)
+            if any(v) and next(x for x in v if x) > 0]
+    return rational_rayset(rays, n, ["_".join(map(str, v)) for v in rays])
+
+
+def shuffled(rs, seed):
+    order = list(range(len(rs)))
+    random.Random(seed).shuffle(order)
+    return RaySet(rs.dimension, [rs.rays[i] for i in order],
+                  [rs.labels[i] for i in order])
+
+
+_NULL_SETS = {
+    "peres33": load_builtin("peres33"),
+    "peres24": load_builtin("peres24"),
+    "zero_pm1_4": zero_pm1(4),
+}
+_EPSILONS = [Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**6)]
+
+
+def check_nullification(rs, eps):
+    """Every context is a suitable frame within eps, every pair of copies
+    of a shared ray diverges, and the union of the frames, read back as a
+    RaySet, closes the loop: its contexts are exactly the frames, and the
+    TRUE legs color it.  Returns the report."""
+    report = perturb_to_suitable(rs, eps)
+    g = build_graph(rs)
+    n = rs.dimension
+    assert [c.ray_indices for c in report.contexts] == list(g.contexts)
+    assert report.all_suitable and report.all_shared_diverge
+    for c in report.contexts:
+        assert c.truth_total == 1
+        assert c.values.count(TruthValue.TRUE) == 1
+        assert c.max_dist2 <= eps * eps
+    shared = sum(
+        len(occ) * (len(occ) - 1) // 2
+        for occ in ([c for c in g.contexts if i in c] for i in range(len(rs)))
+    )
+    assert len(report.divergences) == shared
+    assert all(d.distinct for d in report.divergences)
+    copies = {}
+    for c in report.contexts:
+        for leg, ray in zip(c.frame, c.ray_indices):
+            copies.setdefault(ray, []).append(leg)
+    for legs in copies.values():
+        for u, v in itertools.combinations(legs, 2):
+            assert not reference_same_ray(u, v)
+
+    legs = [leg for c in report.contexts for leg in c.frame]
+    union = build_graph(RaySet(n, [leg.entries for leg in legs]))
+    frames = [tuple(range(k, k + n)) for k in range(0, len(legs), n)]
+    assert list(union.contexts) == frames
+    values = [v for c in report.contexts for v in c.values]
+    coloring = {k: int(v is TruthValue.TRUE) for k, v in enumerate(values)}
+    assert is_valid_coloring(union, coloring)
+    return report
+
+
+def reference_same_ray(u, v):
+    """Equality in Cauchy-Schwarz, |<u,v>|^2 = <u,u><v,v>, over the
+    Gaussian rationals."""
+    return inner_product(u, v).abs2() == norm2(u) * norm2(v)
+
+
+class TestNullificationEveryDimension:
+    """The KS contradiction dissolves in dimensions 3, 4 and 5: one pass
+    plus one repair separates every shared ray, and the perturbed frames,
+    read back through the KS machinery, are colored by their TRUE legs."""
+
+    @pytest.mark.parametrize("eps", _EPSILONS)
+    @pytest.mark.parametrize("name", list(_NULL_SETS))
+    def test_builtin_sets(self, name, eps):
+        check_nullification(_NULL_SETS[name], eps)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("name", ["peres24", "zero_pm1_4"])
+    def test_shuffled_ray_orders(self, name, seed):
+        for eps in _EPSILONS:
+            check_nullification(shuffled(_NULL_SETS[name], seed), eps)
+
+    def test_zero_pm1_5(self):
+        report = perturb_to_suitable(zero_pm1(5), Fraction(1, 10**4))
+        assert len(report.contexts) == 136
+        assert len(report.divergences) == 3860
+        assert report.all_suitable and report.all_shared_diverge
+        assert all(d.distinct for d in report.divergences)
+        assert all(c.max_dist2 <= Fraction(1, 10**8) for c in report.contexts)
+
+    @pytest.mark.parametrize("name", ["peres24", "zero_pm1_4"])
+    def test_copies_left_coinciding_raise(self, name, monkeypatch):
+        """Without the nudge a repair cannot turn a rounding that is already
+        orthogonal to the TRUE leg, so copies still coincide: the keys see
+        it and the run fails instead of reporting them."""
+        frame_near = kscheck._frame_near
+        monkeypatch.setattr(kscheck, "_frame_near",
+                            lambda rows, eps, scale, nudge=False: frame_near(rows, eps, scale))
+        with pytest.raises(ResourceLimitError, match="could not separate"):
+            perturb_to_suitable(_NULL_SETS[name], Fraction(1, 10**4))
+
+    @pytest.mark.parametrize("name", ["peres24", "zero_pm1_4"])
+    def test_within_eps_of_exact_rational_rays(self, name):
+        rs = _NULL_SETS[name]
+        exact = [GVector([e.re.rat for e in ray]) for ray in rs.rays]
+        for eps in _EPSILONS:
+            for c in perturb_to_suitable(rs, eps).contexts:
+                for leg, ray in zip(c.frame, c.ray_indices):
+                    assert ray_dist2(leg, exact[ray]) <= eps * eps
+
+
+class TestRayKey:
+    @seed(20261103)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_matches_cauchy_schwarz(self, s):
+        """Two vectors share a key exactly when Cauchy-Schwarz is an
+        equality: rescaled copies, near misses and unrelated vectors."""
+        rng = random.Random(s)
+        n = rng.randint(2, 5)
+
+        def gauss():
+            return GaussianRational(Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])),
+                                    Fraction(rng.randint(-9, 9), rng.choice([1, 5, 9])))
+
+        def vector():
+            while True:
+                entries = [gauss() if rng.random() < 0.7 else GaussianRational(0)
+                           for _ in range(n)]
+                if any(not e.is_zero() for e in entries):
+                    return GVector(entries)
+
+        u = vector()
+        scalar = gauss()
+        while scalar.is_zero():
+            scalar = gauss()
+        bumped = list(u)
+        k = rng.randrange(n)
+        bumped[k] = bumped[k] + GaussianRational(0, 1)
+        for v in (u, u.scaled(scalar), vector(), GVector(bumped)):
+            assert (_ray_key(u) == _ray_key(v)) is reference_same_ray(u, v)
+            assert same_ray(u, v) is reference_same_ray(u, v)
+        assert _ray_key(u) == _ray_key(u.scaled(scalar))
+
+    def test_key_is_primitive_with_positive_real_lead(self):
+        u = GVector([0, GaussianRational(Fraction(2, 3), Fraction(-1, 5)), 4])
+        key = _ray_key(u)
+        assert key[:2] == (0, 0) and key[2] > 0 and key[3] == 0
+        assert math.gcd(*key) == 1
 
 
 _GOOD_TOKENS = ["0", "1", "-1", "1/2", "-3/4", "s2", "-s2", "1+s2",

@@ -98,6 +98,35 @@ class TestClassifyElement:
         with pytest.raises(InvalidInputError):
             PovmElement(diag(1, -1))
 
+    def test_integer_sign_matches_a11(self):
+        """The sign read from the cleared integers agrees with the sqrt2
+        part of a11() on seeded diagonally dominant Q(sqrt2)-complex
+        elements, a11's sqrt2 part positive, negative or zero."""
+        rng = random.Random(20261101)
+
+        def small():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            scale = Fraction(rng.randint(1, 50), rng.randint(1, 10**6))
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                s2 = small() * rng.choice([0, 1, 1])
+                rows[i][i] = QuadComplex(QuadRational(10 + small(), s2) * scale)
+                for j in range(i + 1, n):
+                    z = QuadComplex(QuadRational(small(), small()),
+                                    QuadRational(small(), small()))
+                    rows[i][j] = z * QuadComplex(scale / 4)
+                    rows[j][i] = rows[i][j].conjugate()
+            e = PovmElement(QuadHermitian(rows))
+            want = TruthValue.TRUE if e.a11().sqrt2 > 0 else TruthValue.FALSE
+            assert classify_element(e) is want
+            seen.add((want, e.a11().sqrt2 == 0))
+        assert seen == {(TruthValue.TRUE, False), (TruthValue.FALSE, False),
+                        (TruthValue.FALSE, True)}
+
 
 class TestDecomposition:
     def test_sum_must_be_exact_identity(self):
