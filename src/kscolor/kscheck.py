@@ -390,7 +390,8 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     if not all(d.distinct for d in divergences):
         raise ResourceLimitError("could not separate the copies of a shared ray")
 
-    return NullificationReport(eps, contexts, divergences, all_suitable, True)
+    return NullificationReport(eps, contexts, divergences, all_suitable,
+                               all_shared_diverge=True)
 
 
 def _parse_component(token: str, field: str) -> QuadComplex:

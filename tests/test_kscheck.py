@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kscolor.coloring import TruthValue
 from kscolor import kscheck
+from kscolor.coloring import TruthValue
 from kscolor.errors import InvalidInputError, ResourceLimitError
 from kscolor.fields import GaussianRational, QuadComplex, QuadRational
 from kscolor.kscheck import (
@@ -330,9 +330,9 @@ def zero_pm1(n):
     return rational_rayset(rays, n, ["_".join(map(str, v)) for v in rays])
 
 
-def shuffled(rs, seed):
+def shuffled(rs, s):
     order = list(range(len(rs)))
-    random.Random(seed).shuffle(order)
+    random.Random(s).shuffle(order)
     return RaySet(rs.dimension, [rs.rays[i] for i in order],
                   [rs.labels[i] for i in order])
 
@@ -349,7 +349,7 @@ def check_nullification(rs, eps):
     """Every context is a suitable frame within eps, every pair of copies
     of a shared ray diverges, and the union of the frames, read back as a
     RaySet, closes the loop: its contexts are exactly the frames, and the
-    TRUE legs color it.  Returns the report."""
+    TRUE legs color it."""
     report = perturb_to_suitable(rs, eps)
     g = build_graph(rs)
     n = rs.dimension
@@ -380,7 +380,6 @@ def check_nullification(rs, eps):
     values = [v for c in report.contexts for v in c.values]
     coloring = {k: int(v is TruthValue.TRUE) for k, v in enumerate(values)}
     assert is_valid_coloring(union, coloring)
-    return report
 
 
 def reference_same_ray(u, v):
@@ -399,11 +398,11 @@ class TestNullificationEveryDimension:
     def test_builtin_sets(self, name, eps):
         check_nullification(_NULL_SETS[name], eps)
 
-    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("order", range(1, 6))
     @pytest.mark.parametrize("name", ["peres24", "zero_pm1_4"])
-    def test_shuffled_ray_orders(self, name, seed):
+    def test_shuffled_ray_orders(self, name, order):
         for eps in _EPSILONS:
-            check_nullification(shuffled(_NULL_SETS[name], seed), eps)
+            check_nullification(shuffled(_NULL_SETS[name], order), eps)
 
     def test_zero_pm1_5(self):
         report = perturb_to_suitable(zero_pm1(5), Fraction(1, 10**4))
