@@ -16,7 +16,10 @@ A projection is represented by a Hermitian matrix M with M^2 = c*M for a
 positive rational c.  The matrix coloring calls M TRUE when every component
 (real and imaginary parts of every entry, except the identically zero
 diagonal imaginary parts) is nonzero and the (1,1) entry's valuation is at
-least one below the valuation of every other component.
+least one below the valuation of every other component.  Both the
+projection test and the coloring read the cleared integers of M: its
+common denominator d shifts every valuation by v3(d), so d cancels from the
+gap, and only ``witness_shift`` adds it back.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ import enum
 from fractions import Fraction
 
 from .errors import InvalidInputError, NotApplicableError
-from .fields import GaussianRational, _v3_int, v3
-from .linalg import Frame, GMatrix, GVector, inner_product
+from .fields import _v3_int, v3
+from .linalg import Frame, GMatrix, GVector, _matmul, inner_product, projector_of
 
 
 class TruthValue(enum.Enum):
@@ -112,6 +115,10 @@ class ProjectionRep:
     The matrix M/c is an orthogonal projector; M itself is the stored
     representative, and trueness depends on the representative.  ``rank`` is
     trace(M)/c, a positive integer.
+
+    The test runs on the cleared form (x, d) of M: with sq = x*x, M^2 = c*M
+    exactly when sq = (c*d)*x, and trace(M)/c = trace(x)/(c*d).  c*d is read
+    off the first nonzero entry of x.
     """
 
     __slots__ = ("matrix", "idem_scale", "rank")
@@ -123,25 +130,21 @@ class ProjectionRep:
             raise InvalidInputError("the zero matrix does not represent a projection")
         if not matrix.is_hermitian():
             raise InvalidInputError("projection representative must be Hermitian")
-        msq = matrix @ matrix
-        first = next(
-            (i, j)
-            for i in range(matrix.n)
-            for j in range(matrix.n)
-            if not matrix.entry(i, j).is_zero()
-        )
-        ratio = msq.entry(*first) * matrix.entry(*first).inverse()
-        if ratio.im != 0 or ratio.re <= 0:
+        (x, d), n = matrix.cleared, matrix.n
+        sq = _matmul(x, x, n)
+        k = next(k for k in range(0, len(x), 2) if x[k] or x[k + 1])
+        (a, b), (p, q) = x[k : k + 2], sq[k : k + 2]
+        # sq_k / x_k = (p + qi)(a - bi) / (a^2 + b^2)
+        if q * a != p * b or p * a + q * b <= 0:
             raise InvalidInputError("matrix does not satisfy M^2 = c*M with c > 0")
-        c = ratio.re
-        if msq != matrix.scaled(GaussianRational(c)):
+        cd = Fraction(p * a + q * b, a * a + b * b)
+        if any(s * cd.denominator != cd.numerator * t for s, t in zip(sq, x)):
             raise InvalidInputError("matrix does not satisfy M^2 = c*M")
-        tr = matrix.trace()
-        rank = tr.re / c
-        if tr.im != 0 or rank.denominator != 1 or rank <= 0:
+        rank = sum(x[:: 2 * n + 2]) / cd  # the diagonal is real: M is Hermitian
+        if rank.denominator != 1 or rank <= 0:
             raise InvalidInputError("trace/c must be a positive integer")
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "idem_scale", c)
+        object.__setattr__(self, "idem_scale", cd / d)
         object.__setattr__(self, "rank", int(rank))
 
     def __setattr__(self, name, value):
@@ -152,12 +155,10 @@ class ProjectionRep:
 
     def projector(self) -> GMatrix:
         """The idempotent projector M / c."""
-        return self.matrix.scaled(GaussianRational(1 / self.idem_scale))
+        return self.matrix.scaled(1 / self.idem_scale)
 
     @classmethod
     def from_ray(cls, v: GVector) -> "ProjectionRep":
-        from .linalg import projector_of
-
         return cls(projector_of(v))
 
     def __eq__(self, other):
@@ -169,26 +170,17 @@ class ProjectionRep:
         return f"ProjectionRep({self.matrix!r})"
 
 
-def _component_valuations(m: GMatrix):
-    """Valuations of all components other than the (1,1) real part, or None
-    when some required component vanishes.
-
-    Diagonal imaginary parts are identically zero for Hermitian matrices and
-    are excluded rather than treated as vanishing components.
-    """
-    vals = []
-    for i in range(m.n):
-        for j in range(m.n):
-            e = m.entry(i, j)
-            if e.re == 0:
-                return None
-            if not (i == 0 and j == 0):
-                vals.append(v3(e.re))
-            if i != j:
-                if e.im == 0:
-                    return None
-                vals.append(v3(e.im))
-    return vals
+def _a11_gap(m: GMatrix) -> "int | None":
+    """v3(x_11) for the cleared integers x of m when every component other
+    than the diagonal imaginary parts (zero for a Hermitian matrix) is
+    nonzero and v3(x_11) is below the valuation of every other one, else
+    None.  v3(x/d) = v3(x) - v3(d), so d cancels from the gap."""
+    x, n = m.cleared[0], m.n
+    diag_im = range(1, len(x), 2 * n + 2)
+    vals = [_v3_int(abs(c)) if c else None for k, c in enumerate(x) if k not in diag_im]
+    if None in vals or vals[0] >= min(vals[1:], default=vals[0] + 1):
+        return None
+    return vals[0]
 
 
 def classify_projection_matrix(rep: ProjectionRep) -> TruthValue:
@@ -196,18 +188,12 @@ def classify_projection_matrix(rep: ProjectionRep) -> TruthValue:
 
     TRUE requires every component nonzero and v3(a11) <= v3(x) - 1 for every
     other component x; equivalently a11's denominator carries strictly more
-    powers of 3 than any other component's.
+    powers of 3 than any other component's.  The test reads the cleared
+    integers of the matrix, since their common denominator cancels.
     """
-    m = rep.matrix
-    a11 = m.entry(0, 0).re
-    if a11 == 0:
+    if _a11_gap(rep.matrix) is None:
         return TruthValue.UNDETERMINED
-    others = _component_valuations(m)
-    if others is None:
-        return TruthValue.UNDETERMINED
-    if v3(a11) <= min(others, default=v3(a11) + 1) - 1:
-        return TruthValue.TRUE
-    return TruthValue.UNDETERMINED
+    return TruthValue.TRUE
 
 
 def witness_shift(rep: ProjectionRep) -> Fraction:
@@ -215,12 +201,13 @@ def witness_shift(rep: ProjectionRep) -> Fraction:
 
     With t the returned value, the (1,1) real part of t*M has valuation
     exactly -2 while every other component has valuation >= -1: only the
-    (1,1) denominator is divisible by 9.
+    (1,1) denominator is divisible by 9.  v3(a11) = v3(x_11) - v3(d) on the
+    cleared form (x, d).
     """
-    if classify_projection_matrix(rep) is not TruthValue.TRUE:
+    val = _a11_gap(rep.matrix)
+    if val is None:
         raise InvalidInputError("witness shift is defined for TRUE representatives")
-    val = v3(rep.matrix.entry(0, 0).re)
-    return Fraction(3) ** (-2 - int(val))
+    return Fraction(3) ** (-2 - val + _v3_int(rep.matrix.cleared[1]))
 
 
 def classify_decomposition(reps: "list[ProjectionRep]") -> list[TruthValue]:
@@ -235,12 +222,12 @@ def classify_decomposition(reps: "list[ProjectionRep]") -> list[TruthValue]:
     n = reps[0].matrix.n
     if any(r.matrix.n != n for r in reps):
         raise InvalidInputError("decomposition members must share one dimension")
-    zero = GMatrix.zeros(n)
+    # (M_i M_j)* = M_j M_i, so one order of each pair suffices.
     for i in range(len(reps)):
-        for j in range(len(reps)):
-            if i != j and reps[i].matrix @ reps[j].matrix != zero:
+        for j in range(i + 1, len(reps)):
+            if not (reps[i].matrix @ reps[j].matrix).is_zero():
                 raise InvalidInputError(f"members {i} and {j} are not orthogonal")
-    total = zero
+    total = GMatrix.zeros(n)
     for r in reps:
         total = total + r.projector()
     if total != GMatrix.identity(n):

@@ -446,9 +446,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-GAUSS_ZERO = GaussianRational(0)
-
-
 class QuadComplex:
     """Exact complex number whose real and imaginary parts live in Q(sqrt2)."""
 

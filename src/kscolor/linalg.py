@@ -8,17 +8,21 @@ the squared projector distance ``ray_dist2`` or the ray key ``_ray_key``.
 Every exact check runs on cleared integers.  ``_cleared`` multiplies a
 sequence of rationals by the lcm d of their denominators (a positive scale,
 so rays, orthogonality, projector distances and PSD are unchanged); it is
-the one clearing helper, and ``_round_div`` the one rounding rule.  The
-only stored form of a ``GVector`` is ``cleared``, its 2n real coordinates as
-integers over one denominator.  ``inner_product``, ``norm2``, ``ray_dist2``,
-``gram_schmidt`` (which builds its legs from its integers) and the ``Frame``
-orthogonality check take integer dot products on that form; ``same_ray``
-compares the canonical ray keys ``_ray_key`` makes from it.
+the one clearing helper, and ``_round_div`` the one rounding rule.
 
-A ``QuadHermitian`` likewise stores only its 4n^2 Q(sqrt2) coefficients as
-integers over one denominator.  ``+``, ``-``, ``scaled``, ``frob_dist2`` and
-``psd_check`` run on them; ``psd_check`` eliminates fraction-free in
-Z[sqrt2] + iZ[sqrt2] (Bareiss, Math. Comp. 22, 1968).
+``GVector``, ``GMatrix`` and ``QuadHermitian`` share one stored form
+(``_ClearedForm``): ``cleared``, their rational parts as integers over one
+canonical denominator, which ``==`` and ``hash`` read.
+- A ``GVector`` stores its 2n real coordinates.  ``inner_product``,
+  ``norm2``, ``ray_dist2``, ``gram_schmidt`` (which builds its legs from its
+  integers) and the ``Frame`` orthogonality check take integer dot products
+  on them; ``same_ray`` compares the canonical ray keys ``_ray_key`` makes.
+- A ``GMatrix`` stores the (re, im) parts of its n^2 entries.  ``+``, ``@``,
+  ``scaled``, ``trace``, ``is_hermitian`` and ``projector_of`` run on them.
+- A ``QuadHermitian`` stores its 4n^2 Q(sqrt2) coefficients.  ``+``, ``-``,
+  ``scaled``, ``frob_dist2`` and ``psd_check`` run on them; ``psd_check``
+  eliminates fraction-free in Z[sqrt2] + iZ[sqrt2] (Bareiss, Math. Comp. 22,
+  1968).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInputError, InvalidInputError
 from .fields import (
-    GAUSS_ZERO,
     GaussianRational,
     QuadComplex,
     QuadRational,
@@ -63,13 +66,69 @@ def _round_div(p: int, q: int) -> int:
     return k + (2 * r > q or (2 * r == q and k % 2 == 1))
 
 
-class GVector:
+class _ClearedForm:
+    """The stored form shared by ``GVector``, ``GMatrix`` and
+    ``QuadHermitian``: ``cleared`` = (x, d), the value's rational parts as
+    integers x over one d > 0 with gcd(d, x) = 1, unique to the value, so
+    ``==`` and ``hash`` read it.  Each subclass builds every value by its
+    ``_of``, which validates x and ends in ``_store``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _store(cls, x: Sequence[int], d: int):
+        """The value x/d in lowest terms, for integers x and d > 0."""
+        g = math.gcd(d, *x)
+        v = object.__new__(cls)
+        object.__setattr__(v, "cleared", (tuple([c // g for c in x]), d // g))
+        return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self)._of, self.cleared
+
+    def _plus(self, other, sign: int):
+        """self + sign*other on the integers, over the lcm of the denominators."""
+        if type(other) is not type(self) or len(other.cleared[0]) != len(self.cleared[0]):
+            return NotImplemented
+        (x, dx), (y, dy) = self.cleared, other.cleared
+        d = math.lcm(dx, dy)
+        p, q = d // dx, sign * (d // dy)
+        return self._of([a * p + b * q for a, b in zip(x, y)], d)
+
+    def is_zero(self) -> bool:
+        return not any(self.cleared[0])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.cleared == other.cleared
+
+    def __hash__(self):
+        return hash(self.cleared)
+
+
+def _gaussians(x: Sequence[int], d: int) -> list[GaussianRational]:
+    """The Gaussian rationals of cleared (re, im) pairs x over d."""
+    return [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(x[::2], x[1::2])]
+
+
+def _gauss_times(x: Sequence[int], s) -> tuple[list[int], int]:
+    """Cleared (re, im) pairs x times the Gaussian rational s, as integers
+    over the denominator of s: (a + bi)(p + qi) = (ap - bq) + (aq + bp)i."""
+    s = GaussianRational._coerce(s)
+    (p, q), den = _cleared((s.re, s.im))
+    return [c for a, b in zip(x[::2], x[1::2]) for c in (a * p - b * q, a * q + b * p)], den
+
+
+class GVector(_ClearedForm):
     """Vector in C^n with GaussianRational entries, n >= 2, not all zero.
 
-    ``cleared`` is the only stored form: the 2n real coordinates as integers
-    x over one denominator d > 0 with gcd(d, x) = 1, unique to the vector, so
-    ``==`` and ``hash`` read it.  Every vector is built by ``_of``; entries
-    and real coordinates are derived from the form on each read.
+    ``cleared`` is the only stored form: the 2n real coordinates (re1, im1,
+    re2, im2, ...) as integers x over one denominator d.  Entries and real
+    coordinates are derived from it on each read.
     """
 
     __slots__ = ("cleared",)
@@ -85,16 +144,7 @@ class GVector:
             raise InvalidInputError("vectors must have at least 2 entries")
         if not any(x):
             raise InvalidInputError("the zero vector does not represent a ray")
-        g = math.gcd(d, *x)
-        v = object.__new__(cls)
-        object.__setattr__(v, "cleared", (tuple([c // g for c in x]), d // g))
-        return v
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GVector is immutable")
-
-    def __reduce__(self):
-        return GVector._of, self.cleared
+        return cls._store(x, d)
 
     @classmethod
     def from_reals(cls, coords: Sequence) -> "GVector":
@@ -107,8 +157,7 @@ class GVector:
 
     @property
     def entries(self) -> tuple[GaussianRational, ...]:
-        c = self.real_coordinates()
-        return tuple([GaussianRational(c[k], c[k + 1]) for k in range(0, len(c), 2)])
+        return tuple(_gaussians(*self.cleared))
 
     def real_coordinates(self) -> tuple[Fraction, ...]:
         """The 2n real coordinates (re1, im1, re2, im2, ...)."""
@@ -116,10 +165,10 @@ class GVector:
         return tuple([Fraction(c, d) for c in x])
 
     def scaled(self, s) -> "GVector":
-        s = GaussianRational._coerce(s)
-        if s.is_zero():
+        x, den = _gauss_times(self.cleared[0], s)
+        if not any(x):
             raise InvalidInputError("cannot scale a ray representative by zero")
-        return GVector(e * s for e in self.entries)
+        return GVector._of(x, self.cleared[1] * den)
 
     def __len__(self):
         return len(self.cleared[0]) // 2
@@ -129,14 +178,6 @@ class GVector:
 
     def __iter__(self):
         return iter(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, GVector):
-            return NotImplemented
-        return self.cleared == other.cleared
-
-    def __hash__(self):
-        return hash(self.cleared)
 
     def __repr__(self):
         return f"GVector({list(self.entries)!r})"
@@ -332,105 +373,105 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     return Frame(legs)
 
 
-class GMatrix:
-    """Square matrix over the Gaussian rationals."""
+def _matmul(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
+    """The product of two n by n matrices of cleared (re, im) pairs, row by
+    row: entry (i, j) is <z, row i of x> for z the conjugate of column j of y."""
+    cols = []
+    for j in range(0, 2 * n, 2):
+        z = [c for k in range(j, len(y), 2 * n) for c in (y[k], -y[k + 1])]
+        cols.append((z, _times_i(z)))
+    return [c for k in range(0, len(x), 2 * n) for z, iz in cols
+            for c in _inner(z, iz, x[k : k + 2 * n])]
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(_coerce_gaussian(e) for e in row) for row in rows)
-        n = len(rs)
-        if n < 1 or any(len(r) != n for r in rs):
+class GMatrix(_ClearedForm):
+    """Square matrix over the Gaussian rationals.
+
+    ``cleared`` is the only stored form: (re, im) of each entry, row by row,
+    as integers x over one denominator d.  ``+``, ``@``, ``scaled``,
+    ``trace`` and ``is_hermitian`` run on it; rows and entries are derived
+    on each read.
+    """
+
+    __slots__ = ("cleared",)
+
+    def __new__(cls, rows: Iterable[Iterable]) -> "GMatrix":
+        rs = [[_coerce_gaussian(e) for e in row] for row in rows]
+        if any(len(r) != len(rs) for r in rs):
             raise InvalidInputError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rs)
+        return cls._of(*_cleared([q for r in rs for e in r for q in (e.re, e.im)]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GMatrix is immutable")
-
-    def __reduce__(self):
-        return GMatrix, (self.rows,)
+    @classmethod
+    def _of(cls, x: Sequence[int], d: int) -> "GMatrix":
+        """The matrix x/d, for integers x and d > 0; the one constructor."""
+        n = math.isqrt(len(x) // 2)
+        if n < 1 or 2 * n * n != len(x):
+            raise InvalidInputError("matrix must be square and nonempty")
+        return cls._store(x, d)
 
     @classmethod
     def identity(cls, n: int) -> "GMatrix":
-        return cls(
-            [GaussianRational(1 if i == j else 0) for j in range(n)] for i in range(n)
-        )
+        return cls._of([int(k % (2 * n + 2) == 0) for k in range(2 * n * n)], 1)
 
     @classmethod
     def zeros(cls, n: int) -> "GMatrix":
-        return cls([GAUSS_ZERO] * n for _ in range(n))
+        return cls._of([0] * (2 * n * n), 1)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return math.isqrt(len(self.cleared[0]) // 2)
+
+    @property
+    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        es, n = _gaussians(*self.cleared), self.n
+        return tuple([tuple(es[k : k + n]) for k in range(0, len(es), n)])
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
+        (x, d), n = self.cleared, self.n
+        k = 2 * (n * range(n)[i] + range(n)[j])  # IndexError out of range, as rows[i][j]
+        return _gaussians(x[k : k + 2], d)[0]
 
     def __add__(self, other):
-        if not isinstance(other, GMatrix) or other.n != self.n:
-            return NotImplemented
-        return GMatrix(
-            (a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
+        return self._plus(other, 1)
 
     def __matmul__(self, other):
         if not isinstance(other, GMatrix) or other.n != self.n:
             return NotImplemented
-        n = self.n
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = GAUSS_ZERO
-                for a, b in zip(self.rows[i], cols[j]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return GMatrix(out)
+        (x, dx), (y, dy) = self.cleared, other.cleared
+        return GMatrix._of(_matmul(x, y, self.n), dx * dy)
 
     def scaled(self, s) -> "GMatrix":
-        s = GaussianRational._coerce(s)
-        return GMatrix((e * s for e in row) for row in self.rows)
+        x, den = _gauss_times(self.cleared[0], s)
+        return GMatrix._of(x, self.cleared[1] * den)
 
     def trace(self) -> GaussianRational:
-        acc = GAUSS_ZERO
-        for i in range(self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        (x, d), n = self.cleared, self.n
+        return GaussianRational(Fraction(sum(x[:: 2 * n + 2]), d),
+                                Fraction(sum(x[1 :: 2 * n + 2]), d))
 
     def is_hermitian(self) -> bool:
-        n = self.n
+        x, n = self.cleared[0], self.n
         for i in range(n):
             for j in range(i, n):
-                if self.rows[i][j] != self.rows[j][i].conjugate():
+                k, t = 2 * (n * i + j), 2 * (n * j + i)
+                if x[k] != x[t] or x[k + 1] != -x[t + 1]:
                     return False
         return True
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, GMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return f"GMatrix({[list(r) for r in self.rows]!r})"
 
 
 def projector_of(v: GVector) -> GMatrix:
-    """Rank-1 orthogonal projector onto the ray of v, exact."""
-    inv_n2 = GaussianRational(1 / norm2(v))
-    ent = v.entries
-    return GMatrix(((a * b.conjugate()) * inv_n2 for b in ent) for a in ent)
+    """Rank-1 orthogonal projector onto the ray of v, exact: x x* / |x|^2
+    on the cleared integers x of v, whose denominator cancels."""
+    x = v.cleared[0]
+    z = list(zip(x[::2], x[1::2]))
+    return GMatrix._of([c for a, b in z for p, q in z for c in (a * p + b * q, b * p - a * q)],
+                       sum(map(mul, x, x)))
 
 
-class QuadHermitian:
+class QuadHermitian(_ClearedForm):
     """Hermitian matrix with QuadComplex entries, verified exactly.
 
     ``cleared`` is the only stored form: (re.rat, re.sqrt2, im.rat, im.sqrt2)
@@ -463,16 +504,7 @@ class QuadHermitian:
                 a, b, c, e = x[4 * (n * i + j) : 4 * (n * i + j) + 4]
                 if tuple(x[4 * (n * j + i) : 4 * (n * j + i) + 4]) != (a, b, -c, -e):
                     raise InvalidInputError(f"not Hermitian at entry ({i}, {j})")
-        g = math.gcd(d, *x)
-        m = object.__new__(cls)
-        object.__setattr__(m, "cleared", (tuple([c // g for c in x]), d // g))
-        return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadHermitian is immutable")
-
-    def __reduce__(self):
-        return QuadHermitian._of, self.cleared
+        return cls._store(x, d)
 
     @classmethod
     def identity(cls, n: int) -> "QuadHermitian":
@@ -497,17 +529,11 @@ class QuadHermitian:
         return QuadComplex(QuadRational(Fraction(x[k], d), Fraction(x[k + 1], d)),
                            QuadRational(Fraction(x[k + 2], d), Fraction(x[k + 3], d)))
 
-    def __add__(self, other, sign: int = 1):
-        """self + sign*other on the integers, over the lcm of the denominators."""
-        if not isinstance(other, QuadHermitian) or other.n != self.n:
-            return NotImplemented
-        (x, dx), (y, dy) = self.cleared, other.cleared
-        d = math.lcm(dx, dy)
-        p, q = d // dx, sign * (d // dy)
-        return QuadHermitian._of([a * p + b * q for a, b in zip(x, y)], d)
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return self.__add__(other, -1)
+        return self._plus(other, -1)
 
     def scaled(self, s) -> "QuadHermitian":
         """Scale by a real QuadRational (keeps the matrix Hermitian)."""
@@ -519,17 +545,6 @@ class QuadHermitian:
         for a, b in zip(x[::2], x[1::2]):  # (a + b*sqrt2)(p + q*sqrt2)
             out += (a * p + 2 * b * q, a * q + b * p)
         return QuadHermitian._of(out, d * den)
-
-    def is_zero(self) -> bool:
-        return not any(self.cleared[0])
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadHermitian):
-            return NotImplemented
-        return self.cleared == other.cleared
-
-    def __hash__(self):
-        return hash(self.cleared)
 
     def __repr__(self):
         return f"QuadHermitian({[list(r) for r in self.rows]!r})"
@@ -598,26 +613,15 @@ def _psd_cleared(w: list[list[tuple]]) -> bool:
     return True
 
 
-def frob_dist2(a, b):
-    """Squared Frobenius distance between two matrices of one kind.
-
-    Returns an exact Fraction for GMatrix arguments and an exact QuadRational
-    for QuadHermitian arguments.
-    """
-    if isinstance(a, GMatrix) and isinstance(b, GMatrix):
-        if a.n != b.n:
-            raise InvalidInputError("matrix size mismatch")
-        acc = Fraction(0)
-        for ra, rb in zip(a.rows, b.rows):
-            for x, y in zip(ra, rb):
-                acc += (x - y).abs2()
-        return acc
-    if isinstance(a, QuadHermitian) and isinstance(b, QuadHermitian):
-        if a.n != b.n:
-            raise InvalidInputError("matrix size mismatch")
-        # |a + b*sqrt2|^2 = a^2 + 2b^2 + 2ab*sqrt2 for each coefficient pair.
-        x, d = (a - b).cleared
-        rat = sum(map(mul, x, x)) + sum(c * c for c in x[1::2])
-        s2 = 2 * sum(map(mul, x[::2], x[1::2]))
-        return QuadRational(Fraction(rat, d * d), Fraction(s2, d * d))
-    raise InvalidInputError("frob_dist2 expects two GMatrix or two QuadHermitian")
+def frob_dist2(a: QuadHermitian, b: QuadHermitian) -> QuadRational:
+    """Squared Frobenius distance between two QuadHermitian matrices, an
+    exact QuadRational."""
+    if not (isinstance(a, QuadHermitian) and isinstance(b, QuadHermitian)):
+        raise InvalidInputError("frob_dist2 expects two QuadHermitian")
+    if a.n != b.n:
+        raise InvalidInputError("matrix size mismatch")
+    # |a + b*sqrt2|^2 = a^2 + 2b^2 + 2ab*sqrt2 for each coefficient pair.
+    x, d = (a - b).cleared
+    rat = sum(map(mul, x, x)) + sum(c * c for c in x[1::2])
+    s2 = 2 * sum(map(mul, x[::2], x[1::2]))
+    return QuadRational(Fraction(rat, d * d), Fraction(s2, d * d))

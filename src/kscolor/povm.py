@@ -246,14 +246,14 @@ def _dyadic(mats) -> tuple[list, int]:
              for row in t] for t in ratios], k
 
 
-def _float_psd_within(rows: list[list[complex]], tol: float) -> bool:
+def _float_psd_within(rows: list[list[complex]], t: list, k: int, tol: float) -> bool:
     """Exact PSD test of the exact Hermitian part (A + A*)/2 of the binary64
-    matrix, shifted by 2*tol*scale on the diagonal, on integers over
-    2^(k+1) times the shift's denominator."""
+    matrix ``rows``, given as ``_dyadic`` integer pairs t over 2**k, shifted
+    by 2*tol*scale on the diagonal, on integers over 2^(k+1) times the
+    shift's denominator."""
     n = len(rows)
     scale = max(1.0, max(abs(e) for r in rows for e in r))
     sp, sq = (tol * scale * 2).as_integer_ratio()
-    (t,), k = _dyadic([rows])
     w = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -267,13 +267,15 @@ def _float_psd_within(rows: list[list[complex]], tol: float) -> bool:
     return _psd_cleared(w)
 
 
-def _validate_povm_targets(targets) -> list[list[list[complex]]]:
+def _validate_povm_targets(targets) -> tuple[list, list, int]:
+    """The binary64 targets, checked, with their ``_dyadic`` integers."""
     mats = [_as_complex_matrix(t, f"target {k}") for k, t in enumerate(targets)]
     if not mats:
         raise InvalidInputError("at least one target matrix is required")
     n = len(mats[0])
     if n < 1 or any(len(m) != n for m in mats):
         raise InvalidInputError("all target matrices must share one dimension")
+    ints, bits = _dyadic(mats)
     # abs() of a complex with finite parts raises OverflowError when the
     # modulus is beyond binary64; no such target is near a POVM.
     try:
@@ -282,7 +284,7 @@ def _validate_povm_targets(targets) -> list[list[list[complex]]]:
                 for j in range(n):
                     if abs(m[i][j] - m[j][i].conjugate()) > 1e-8:
                         raise InvalidInputError(f"target {k} is not Hermitian to 1e-8")
-            if not _float_psd_within(m, 1e-8):
+            if not _float_psd_within(m, ints[k], bits, 1e-8):
                 raise InvalidInputError(f"target {k} is not PSD to 1e-8")
         for i in range(n):
             for j in range(n):
@@ -292,7 +294,7 @@ def _validate_povm_targets(targets) -> list[list[list[complex]]]:
                     raise InvalidInputError("targets do not sum to the identity to 1e-8")
     except OverflowError:
         raise InvalidInputError("target entries overflow binary64") from None
-    return mats
+    return mats, ints, bits
 
 
 def _try_exact_passthrough(targets) -> Optional[PovmDecomposition]:
@@ -384,7 +386,7 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
              for row in (t.matrix if isinstance(t, PovmElement) else t).rows]
             for t in targets
         ]
-    mats = _validate_povm_targets(targets)
+    mats, ints, bits = _validate_povm_targets(targets)
     eps = _coerce_eps(eps)
     m = len(mats)
     n = len(mats[0])
@@ -396,7 +398,6 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
     )
     theta = min(Fraction(1, 4), eps / Fraction(rationalize(4 * (dev + 1), 100)))
     scale = math.ceil(4 * m * n * max(m / theta, 1 / eps))
-    ints, bits = _dyadic(mats)
     points = [_lattice_point(t, theta, m, scale, bits) for t in ints[:-1]]
     # The last element is I minus the others, so the sum is exact.
     points.append([

@@ -245,9 +245,10 @@ def rank2_rep(vec: GVector) -> ProjectionRep:
 
 def re_trace_product(a: GMatrix, b: GMatrix) -> Fraction:
     total = Fraction(0)
+    ra, rb = a.rows, b.rows
     for i in range(a.n):
         for j in range(a.n):
-            x, y = a.rows[i][j], b.rows[j][i]
+            x, y = ra[i][j], rb[j][i]
             total += x.re * y.re - x.im * y.im
     return total
 
@@ -304,10 +305,11 @@ def test_criterion_05_matrix_pair_certificates():
         oracle = False
         for k in range(-10, 11):
             m = rep.matrix.scaled(GaussianRational(Fraction(3) ** k))
+            rows = m.rows
             ok = True
             for i in range(m.n):
                 for j in range(m.n):
-                    re, im = m.rows[i][j].re, m.rows[i][j].im
+                    re, im = rows[i][j].re, rows[i][j].im
                     if re == 0 or (i != j and im == 0):
                         ok = False
                         break

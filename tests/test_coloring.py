@@ -22,6 +22,7 @@ from kscolor.coloring import (
 from kscolor.errors import InvalidInputError, NotApplicableError
 from kscolor.fields import GaussianRational, v3
 from kscolor.linalg import Frame, GMatrix, GVector, gram_schmidt, inner_product
+from kscolor.serialize import gaussian_to_obj, projection_rep_to_obj
 
 TRUE_RAY = GVector.from_reals(
     [Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)]
@@ -307,10 +308,11 @@ class TestClassifyProjectionMatrix:
             for k in range(-10, 11):
                 t = Fraction(3) ** k
                 m = rep.matrix.scaled(GaussianRational(t))
+                rows = m.rows
                 ok = True
                 for i in range(m.n):
                     for j in range(m.n):
-                        re, im = m.rows[i][j].re, m.rows[i][j].im
+                        re, im = rows[i][j].re, rows[i][j].im
                         if re == 0 or (i != j and im == 0):
                             ok = False
                             break
@@ -367,3 +369,311 @@ class TestClassifyDecomposition:
         re_tr = prod.trace().re
         assert re_tr != 0
         assert v3(re_tr) <= -4
+
+
+# Test-only references: the GaussianRational code of ProjectionRep,
+# classify_projection_matrix (with _component_valuations), witness_shift and
+# classify_decomposition that the integer versions replaced.  A reference
+# representative is (rows, c, rank) with rows of GaussianRationals.
+
+
+def ref_matmul(a, b):
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        line = []
+        for col in cols:
+            acc = GaussianRational(0)
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            line.append(acc)
+        out.append(line)
+    return out
+
+
+def ref_scaled(a, c):
+    return [[e * GaussianRational(c) for e in row] for row in a]
+
+
+def reference_projection_rep(rows):
+    n = len(rows)
+    if all(e.is_zero() for row in rows for e in row):
+        raise InvalidInputError("the zero matrix does not represent a projection")
+    if any(rows[i][j] != rows[j][i].conjugate() for i in range(n) for j in range(i, n)):
+        raise InvalidInputError("projection representative must be Hermitian")
+    msq = ref_matmul(rows, rows)
+    i, j = next((i, j) for i in range(n) for j in range(n) if not rows[i][j].is_zero())
+    ratio = msq[i][j] * rows[i][j].inverse()
+    if ratio.im != 0 or ratio.re <= 0:
+        raise InvalidInputError("matrix does not satisfy M^2 = c*M with c > 0")
+    c = ratio.re
+    if msq != ref_scaled(rows, c):
+        raise InvalidInputError("matrix does not satisfy M^2 = c*M")
+    tr = GaussianRational(0)
+    for k in range(n):
+        tr = tr + rows[k][k]
+    rank = tr.re / c
+    if tr.im != 0 or rank.denominator != 1 or rank <= 0:
+        raise InvalidInputError("trace/c must be a positive integer")
+    return rows, c, int(rank)
+
+
+def reference_component_valuations(rows):
+    vals = []
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            if e.re == 0:
+                return None
+            if not (i == 0 and j == 0):
+                vals.append(v3(e.re))
+            if i != j:
+                if e.im == 0:
+                    return None
+                vals.append(v3(e.im))
+    return vals
+
+
+def reference_classify(ref) -> TruthValue:
+    rows = ref[0]
+    a11 = rows[0][0].re
+    if a11 == 0:
+        return TruthValue.UNDETERMINED
+    others = reference_component_valuations(rows)
+    if others is None:
+        return TruthValue.UNDETERMINED
+    if v3(a11) <= min(others, default=v3(a11) + 1) - 1:
+        return TruthValue.TRUE
+    return TruthValue.UNDETERMINED
+
+
+def reference_witness_shift(ref) -> Fraction:
+    if reference_classify(ref) is not TruthValue.TRUE:
+        raise InvalidInputError("witness shift is defined for TRUE representatives")
+    return Fraction(3) ** (-2 - int(v3(ref[0][0][0].re)))
+
+
+def reference_classify_decomposition(refs) -> list[TruthValue]:
+    if not refs:
+        raise InvalidInputError("empty decomposition")
+    n = len(refs[0][0])
+    if any(len(r[0]) != n for r in refs):
+        raise InvalidInputError("decomposition members must share one dimension")
+    zero = [[GaussianRational(0)] * n for _ in range(n)]
+    for i in range(len(refs)):
+        for j in range(len(refs)):
+            if i != j and ref_matmul(refs[i][0], refs[j][0]) != zero:
+                raise InvalidInputError(f"members {i} and {j} are not orthogonal")
+    total = zero
+    for rows, c, _ in refs:
+        p = ref_scaled(rows, 1 / c)
+        total = [[x + y for x, y in zip(rt, rp)] for rt, rp in zip(total, p)]
+    if total != [[GaussianRational(int(i == j)) for j in range(n)] for i in range(n)]:
+        raise InvalidInputError("projectors do not sum to the identity")
+    base = [reference_classify(r) for r in refs]
+    if TruthValue.TRUE not in base:
+        return [TruthValue.UNDETERMINED] * len(refs)
+    return [TruthValue.TRUE if b is TruthValue.TRUE else TruthValue.FALSE for b in base]
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the InvalidInputError it raises."""
+    try:
+        return f(*args)
+    except InvalidInputError as exc:
+        return type(exc), str(exc)
+
+
+def rand_gauss3(rng, zero_share=0.1):
+    """A Gaussian rational whose parts carry powers of 3 in numerator or
+    denominator, each part zero now and then."""
+    def part():
+        if rng.random() < zero_share:
+            return Fraction(0)
+        return rand_three_adic(rng, rng.randint(-3, 3))
+    return GaussianRational(part(), part())
+
+
+def rand_ray3(rng, n):
+    while True:
+        entries = [rand_gauss3(rng) for _ in range(n)]
+        if any(not e.is_zero() for e in entries):
+            return GVector(entries)
+
+
+def outer_rows(vec, scale):
+    """scale * vec vec* as rows of GaussianRationals."""
+    ent = vec.entries
+    return [[(a * b.conjugate()) * scale for b in ent] for a in ent]
+
+
+def rand_candidate_rows(rng, n):
+    """Rows that are a scaled rank-1 or rank-2 projection, a non-projection
+    Hermitian matrix, a non-Hermitian matrix or zero."""
+    if n == 1:
+        return [[rng.choice((GaussianRational(rand_three_adic(rng, rng.randint(-2, 2))),
+                             rand_gauss3(rng, 0.3)))]]
+    kind = rng.randrange(8)
+    v = rand_ray3(rng, n)
+    scale = rng.choice((GaussianRational(rand_three_adic(rng, rng.randint(-2, 2))),
+                        rand_gauss3(rng, 0), GaussianRational(1)))
+    if kind <= 1:
+        return outer_rows(v, scale)
+    if kind == 2:
+        frame = gram_schmidt([v] + [rand_ray3(rng, n) for _ in range(n - 1)])
+        pa, pb = (outer_rows(leg, GaussianRational(1 / reference_norm2(leg)))
+                  for leg in frame[:2])
+        return [[(x + y) * scale for x, y in zip(ra, rb)] for ra, rb in zip(pa, pb)]
+    if kind == 3:
+        s = GaussianRational(reference_norm2(v))
+        return [[(s if i == j else GaussianRational(0)) - e for j, e in enumerate(row)]
+                for i, row in enumerate(outer_rows(v, 1))]
+    if kind == 4:
+        rows = outer_rows(v, 1)
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rows[i][j] + GaussianRational(rand_three_adic(rng, 0))
+        if i != j:
+            rows[j][i] = rows[i][j].conjugate()
+        return rows
+    rows = [[rand_gauss3(rng, 0.3) for _ in range(n)] for _ in range(n)]
+    if kind == 5:  # Hermitian, often with a zero (1,1) entry
+        for i in range(n):
+            rows[i][i] = GaussianRational(rows[i][i].re)
+            for j in range(i):
+                rows[i][j] = rows[j][i].conjugate()
+    if kind == 7:
+        return [[GaussianRational(0)] * n for _ in range(n)]
+    return rows
+
+
+def reference_norm2(v):
+    acc = Fraction(0)
+    for e in v.entries:
+        acc += e.abs2()
+    return acc
+
+
+class TestProjectionAgainstReference:
+    """ProjectionRep, classify_projection_matrix, witness_shift and
+    classify_decomposition on the cleared integers against the
+    GaussianRational code they replaced: results, reprs, serialized objects
+    and error messages."""
+
+    @seed(20261031)
+    @given(st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_single_matrices(self, s):
+        rng = random.Random(s)
+        rows = rand_candidate_rows(rng, rng.randint(1, 4) if rng.random() < 0.2 else 3)
+        got = outcome(ProjectionRep, GMatrix(rows))
+        want = outcome(reference_projection_rep, rows)
+        if isinstance(want, tuple) and len(want) == 2:
+            assert got == want
+            return
+        ref_rows, c, rank = want
+        assert (got.idem_scale, got.rank) == (c, rank)
+        assert repr(got) == f"ProjectionRep(GMatrix({[list(r) for r in ref_rows]!r}))"
+        assert projection_rep_to_obj(got) == {
+            "kind": "projection",
+            "matrix": [[gaussian_to_obj(e) for e in r] for r in ref_rows],
+        }
+        assert repr(got.projector()) == f"GMatrix({ref_scaled(ref_rows, 1 / c)!r})"
+        assert classify_projection_matrix(got) is reference_classify(want)
+        assert outcome(witness_shift, got) == outcome(reference_witness_shift, want)
+
+    @seed(20261101)
+    @given(st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_from_ray(self, s):
+        rng = random.Random(s)
+        v = rand_ray3(rng, rng.randint(2, 5))
+        rep = ProjectionRep.from_ray(v)
+        ref = reference_projection_rep(outer_rows(v, GaussianRational(1 / reference_norm2(v))))
+        assert repr(rep) == f"ProjectionRep(GMatrix({[list(r) for r in ref[0]]!r}))"
+        assert (rep.idem_scale, rep.rank) == (1, 1)
+        assert classify_projection_matrix(rep) is reference_classify(ref)
+        assert outcome(witness_shift, rep) == outcome(reference_witness_shift, ref)
+
+    @seed(20261102)
+    @given(st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_decompositions(self, s):
+        rng = random.Random(s)
+        n = rng.randint(2, 4)
+        frame = gram_schmidt([rand_ray3(rng, n) for _ in range(n)])
+        rows = [outer_rows(leg, GaussianRational(1 / reference_norm2(leg))) for leg in frame]
+        kind = rng.randrange(5)
+        if kind == 1:  # two legs merged into one rank-2 member
+            rows[0:2] = [[[x + y for x, y in zip(ra, rb)] for ra, rb in zip(*rows[0:2])]]
+        # each member scaled by 1 or by some |x|, and now and then negated
+        rows = [ref_scaled(r, rng.choice((1, abs(x))) * (-1 if rng.random() < 0.03 else 1))
+                for r, x in ((r, rand_three_adic(rng, rng.randint(-2, 2))) for r in rows)]
+        if kind == 2:  # a member missing
+            del rows[rng.randrange(n)]
+        elif kind == 3:  # a member repeated
+            rows.append(rows[rng.randrange(len(rows))])
+        elif kind == 4:  # a member of another dimension
+            rows.append(outer_rows(rand_ray3(rng, n + 1), 1))
+        rng.shuffle(rows)
+        members, refs = [], []
+        for r in rows:
+            ref = outcome(reference_projection_rep, r)
+            got = outcome(ProjectionRep, GMatrix(r))
+            if isinstance(ref, tuple) and len(ref) == 2:
+                assert got == ref
+                return
+            members.append(got)
+            refs.append(ref)
+        assert outcome(classify_decomposition, members) == \
+            outcome(reference_classify_decomposition, refs)
+        assert outcome(classify_decomposition, []) == \
+            outcome(reference_classify_decomposition, [])
+
+    def test_cases_cover_every_outcome(self):
+        """The single-matrix draws reach every reachable error, ranks 1 and 2
+        and both verdicts.  trace/c is always a positive integer once
+        M^2 = c*M holds for a Hermitian M, so that error is never drawn."""
+        rng = random.Random(20261031)
+        seen = set()
+        for _ in range(400):
+            rows = rand_candidate_rows(rng, 3)
+            want = outcome(reference_projection_rep, rows)
+            if len(want) == 2:
+                seen.add(want[1])
+            else:
+                seen.add((want[2], reference_classify(want)))
+        assert {(1, TruthValue.TRUE), (1, TruthValue.UNDETERMINED), (2, TruthValue.UNDETERMINED),
+                "the zero matrix does not represent a projection",
+                "projection representative must be Hermitian",
+                "matrix does not satisfy M^2 = c*M with c > 0",
+                "matrix does not satisfy M^2 = c*M"} <= seen
+
+
+class TestProjectionPathGuard:
+    """The projection path runs on integers: with GaussianRational arithmetic
+    patched to raise, it still runs on a seeded Gram-Schmidt frame."""
+
+    def test_no_gaussian_arithmetic(self, monkeypatch):
+        rng = random.Random(20261103)
+        while True:
+            frame = gram_schmidt([rand_ray3(rng, 3) for _ in range(3)])
+            if classify_projection_matrix(ProjectionRep.from_ray(frame[0])) is TruthValue.TRUE:
+                break
+        rows = [outer_rows(leg, 1) for leg in frame]
+        want = [reference_projection_rep(r) for r in rows]
+        want_shift = reference_witness_shift(want[0])
+        want_colors = reference_classify_decomposition(want)
+
+        def forbidden(*args):
+            raise AssertionError("GaussianRational arithmetic on the projection path")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__neg__", "__truediv__", "inverse", "abs2", "conjugate"):
+            monkeypatch.setattr(GaussianRational, name, forbidden)
+        reps = [ProjectionRep(GMatrix(r)) for r in rows]
+        rays = [ProjectionRep.from_ray(leg) for leg in frame]
+        assert [(r.idem_scale, r.rank) for r in reps] == [(c, k) for _, c, k in want]
+        assert [classify_projection_matrix(r) for r in rays] == \
+            [TruthValue.TRUE, TruthValue.UNDETERMINED, TruthValue.UNDETERMINED]
+        assert witness_shift(reps[0]) == want_shift
+        assert classify_decomposition(reps) == classify_decomposition(rays) == want_colors
+        assert want_colors == [TruthValue.TRUE, TruthValue.FALSE, TruthValue.FALSE]

@@ -3,6 +3,7 @@ squared distances."""
 
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -29,9 +30,11 @@ from kscolor.linalg import (
     ray_dist2,
     same_ray,
 )
+from kscolor.coloring import ProjectionRep
 from kscolor.density import _gaussian_point, _true_point, false_ray_near
 from kscolor.povm import (
     PovmElement,
+    _dyadic,
     _float_psd_within,
     classify_with_witness,
     make_suitable_near,
@@ -545,6 +548,188 @@ class TestMatrixForm:
             PovmElement(rows)
 
 
+# Test-only references for GMatrix: the GaussianRational row code that the
+# integer ``+``, ``@``, ``scaled``, ``trace``, ``is_hermitian`` and
+# ``projector_of`` replaced.  Each takes and returns rows of GaussianRationals.
+
+
+def reference_gm_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def reference_gm_matmul(a, b):
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        line = []
+        for col in cols:
+            acc = GaussianRational(0)
+            for x, y in zip(row, col):
+                acc = acc + x * y
+            line.append(acc)
+        out.append(line)
+    return out
+
+
+def reference_gm_scaled(a, s):
+    s = GaussianRational._coerce(s)
+    return [[e * s for e in row] for row in a]
+
+
+def reference_gm_trace(a):
+    acc = GaussianRational(0)
+    for i in range(len(a)):
+        acc = acc + a[i][i]
+    return acc
+
+
+def reference_gm_is_hermitian(a):
+    n = len(a)
+    return all(a[i][j] == a[j][i].conjugate() for i in range(n) for j in range(i, n))
+
+
+def reference_projector_of(v: GVector):
+    inv_n2 = GaussianRational(1 / reference_norm2(v))
+    ent = v.entries
+    return [[(a * b.conjugate()) * inv_n2 for b in ent] for a in ent]
+
+
+def reference_gm_repr(rows) -> str:
+    return f"GMatrix({[list(r) for r in rows]!r})"
+
+
+def rand_gmatrix_rows(rng, n, kind=None):
+    """Rows of a random n by n Gaussian rational matrix: Hermitian, general,
+    a scaled rank-1 projector (n >= 2), or zero."""
+    kind = rng.randrange(4) if kind is None else kind
+    if kind == 3:
+        return [[GaussianRational(0)] * n for _ in range(n)]
+    if kind == 2 and n >= 2:
+        return reference_gm_scaled(reference_projector_of(rand_gvector(rng, n)), rand_scalar(rng))
+    rows = [[rand_gaussian(rng) for _ in range(n)] for _ in range(n)]
+    if kind == 0:
+        for i in range(n):
+            rows[i][i] = GaussianRational(rows[i][i].re)
+            for j in range(i):
+                rows[i][j] = rows[j][i].conjugate()
+    return rows
+
+
+def gmatrix_pool(rng, n):
+    """n by n matrices built every way a GMatrix can be built, with equal
+    matrices reached by different paths."""
+    a, b = GMatrix(rand_gmatrix_rows(rng, n)), GMatrix(rand_gmatrix_rows(rng, n))
+    ints = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    fracs = [[Fraction(rng.randint(-99, 99), rng.randint(1, 30)) for _ in range(n)]
+             for _ in range(n)]
+    s = rand_scalar(rng)
+    v = rand_gvector(rng, n) if n >= 2 else None
+    pool = [a, b, GMatrix(a.rows), GMatrix(ints), GMatrix(fracs),
+            GMatrix([[GaussianRational(e) for e in row] for row in fracs]),
+            GMatrix.identity(n), GMatrix.zeros(n),
+            GMatrix([[int(i == j) for j in range(n)] for i in range(n)]),
+            GMatrix([[Fraction(0)] * n for _ in range(n)]),
+            a + b, b + a, a @ b, b @ a, a @ GMatrix.identity(n), a + GMatrix.zeros(n),
+            a.scaled(s), a.scaled(s).scaled(1 / s.abs2() * s.conjugate()), a.scaled(0),
+            a.scaled(2), a + a, GMatrix(fracs).scaled(Fraction(1, 3)),
+            GMatrix._of(*a.cleared), pickle.loads(pickle.dumps(b))]
+    if v is not None:
+        rep = ProjectionRep.from_ray(v)
+        pool += [projector_of(v), projector_of(v.scaled(s)), rep.matrix, rep.projector(),
+                 GMatrix(reference_projector_of(v)), rep.projector() @ rep.projector()]
+    return pool
+
+
+class TestGMatrixForm:
+    """``cleared`` is the only stored form of a GMatrix, canonical whichever
+    way the matrix was built, so equality and hashing can read it; ``+``,
+    ``@``, ``scaled``, ``trace``, ``is_hermitian`` and ``projector_of`` on it
+    match the GaussianRational row code."""
+
+    @seed(20261029)
+    @given(seeds)
+    @settings(max_examples=80, deadline=None)
+    def test_every_path_gives_the_canonical_form(self, s):
+        rng = random.Random(s)
+        n = rng.randint(1, 4)
+        pool = gmatrix_pool(rng, n)
+        for m in pool:
+            x, d = m.cleared
+            assert isinstance(x, tuple) and len(x) == 2 * n * n
+            assert all(isinstance(c, int) for c in x) and d > 0 and math.gcd(d, *x) == 1
+            assert _cleared([q for row in m.rows for e in row for q in (e.re, e.im)]) == (x, d)
+        rows = [m.rows for m in pool]
+        for u, ru in zip(pool, rows):
+            for v, rv in zip(pool, rows):
+                assert (u == v) is (ru == rv)
+                if ru == rv:
+                    assert hash(u) == hash(v)
+
+    @seed(20261030)
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_matches_reference(self, s):
+        rng = random.Random(s)
+        n = rng.randint(1, 4)
+        ra, rb = rand_gmatrix_rows(rng, n), rand_gmatrix_rows(rng, n)
+        a, b = GMatrix(ra), GMatrix(rb)
+        t = rng.choice((rand_scalar(rng), rand_gaussian(rng), rng.randint(-3, 3)))
+        assert repr(a) == reference_gm_repr(ra)
+        assert [list(r) for r in a.rows] == ra
+        assert a.entry(n - 1, 0) == ra[n - 1][0] and a.entry(-1, -1) == ra[-1][-1]
+        assert repr(a + b) == reference_gm_repr(reference_gm_add(ra, rb))
+        assert repr(a @ b) == reference_gm_repr(reference_gm_matmul(ra, rb))
+        assert repr(a.scaled(t)) == reference_gm_repr(reference_gm_scaled(ra, t))
+        assert a.trace() == reference_gm_trace(ra)
+        assert repr(a.trace()) == repr(reference_gm_trace(ra))
+        assert a.is_hermitian() is reference_gm_is_hermitian(ra)
+        assert a.is_zero() is all(e.is_zero() for row in ra for e in row)
+        if n >= 2:
+            v = rand_gvector(rng, n)
+            assert repr(projector_of(v)) == reference_gm_repr(reference_projector_of(v))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_identity_and_zeros(self, n):
+        one, zero = GaussianRational(1), GaussianRational(0)
+        want = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        assert GMatrix.identity(n).rows == want
+        assert GMatrix.zeros(n).rows == tuple((zero,) * n for _ in range(n))
+        assert GMatrix.zeros(n).is_zero() and not GMatrix.identity(n).is_zero()
+        assert GMatrix.identity(n).cleared[1] == GMatrix.zeros(n).cleared[1] == 1
+
+    def test_only_the_cleared_slot(self):
+        m = GMatrix([[Fraction(1, 2), GaussianRational(0, 3)],
+                     [GaussianRational(0, -3), Fraction(1, 4)]])
+        assert GMatrix.__slots__ == ("cleared",)
+        assert m.cleared == ((2, 0, 0, 12, 0, -12, 1, 0), 4)
+        assert m.n == 2 and m.entry(1, 1) == GaussianRational(Fraction(1, 4))
+        assert GMatrix._of([4, 0, 0, 24, 0, -24, 2, 0], 8) == m
+        with pytest.raises(AttributeError):
+            m.cleared = ((1, 0), 1)
+        with pytest.raises(IndexError):
+            m.entry(2, 0)
+
+    @pytest.mark.parametrize("x", [(), (1,), (1, 0, 0), (1,) * 4, (1,) * 6, (1,) * 10])
+    def test_of_rejects_non_square_lengths(self, x):
+        with pytest.raises(InvalidInputError, match="square"):
+            GMatrix._of(x, 1)
+
+    @pytest.mark.parametrize("rows", [[[None]], [[1.5]], [[1, 2], [2]], [], [[]]])
+    def test_junk_matrices_raise_invalid_input(self, rows):
+        with pytest.raises(InvalidInputError):
+            GMatrix(rows)
+
+    def test_mismatched_sizes_do_not_combine(self):
+        a, b = GMatrix.identity(2), GMatrix.identity(3)
+        with pytest.raises(TypeError):
+            a + b
+        with pytest.raises(TypeError):
+            a @ b
+        with pytest.raises(TypeError):
+            a + QuadHermitian.identity(2)
+        assert a != QuadHermitian.identity(2)
+
+
 class TestGramSchmidt:
     def test_standard_basis_fixed(self):
         legs = [gvec(1, 0, 0, 0, 0, 0), gvec(0, 0, 1, 0, 0, 0), gvec(0, 0, 0, 0, 1, 0)]
@@ -923,14 +1108,20 @@ class TestPsdAgainstReference:
         assert w[-1][-1] == (det.re.rat, det.re.sqrt2, 0, 0)
 
 
+def float_psd_within(rows: list[list[complex]], tol: float) -> bool:
+    """_float_psd_within on the ``_dyadic`` integers of one target."""
+    (t,), k = _dyadic([rows])
+    return _float_psd_within(rows, t, k, tol)
+
+
 class TestFloatPsdAgainstReference:
     """_float_psd_within against the reference fed by the symmetrized
     QuadHermitian rationalization it replaced."""
 
     def test_tolerance_boundary(self):
         # The shift is 2e-8 for entries of size <= 1.
-        assert _float_psd_within([[1 + 0j, 0j], [0j, -1e-9 + 0j]], 1e-8)
-        assert not _float_psd_within([[1 + 0j, 0j], [0j, -4e-8 + 0j]], 1e-8)
+        assert float_psd_within([[1 + 0j, 0j], [0j, -1e-9 + 0j]], 1e-8)
+        assert not float_psd_within([[1 + 0j, 0j], [0j, -4e-8 + 0j]], 1e-8)
 
     @given(seeds)
     @settings(max_examples=300, deadline=None)
@@ -950,7 +1141,7 @@ class TestFloatPsdAgainstReference:
         for r in rows:
             for k in range(n):
                 r[k] += complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
-        assert _float_psd_within(rows, 1e-8) is reference_float_psd_within(rows, 1e-8)
+        assert float_psd_within(rows, 1e-8) is reference_float_psd_within(rows, 1e-8)
 
 
 class TestDistances:
@@ -969,9 +1160,11 @@ class TestDistances:
         assert frob_dist2(a, b) == QuadRational(2)
 
     def test_frob_gmatrix_variant(self):
-        a = GMatrix.identity(2)
-        b = GMatrix.zeros(2)
-        assert frob_dist2(a, b) == Fraction(2)
+        # frob_dist2 takes only QuadHermitian; a GMatrix is rejected.
+        with pytest.raises(InvalidInputError, match="two QuadHermitian"):
+            frob_dist2(GMatrix.identity(2), GMatrix.zeros(2))
+        with pytest.raises(InvalidInputError, match="two QuadHermitian"):
+            frob_dist2(GMatrix.identity(2), QuadHermitian.zeros(2))
 
     def test_ray_dist_is_scale_and_phase_invariant(self):
         u = gvec(Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
