@@ -598,10 +598,10 @@ def reference_gm_repr(rows) -> str:
     return f"GMatrix({[list(r) for r in rows]!r})"
 
 
-def rand_gmatrix_rows(rng, n, kind=None):
+def rand_gmatrix_rows(rng, n):
     """Rows of a random n by n Gaussian rational matrix: Hermitian, general,
     a scaled rank-1 projector (n >= 2), or zero."""
-    kind = rng.randrange(4) if kind is None else kind
+    kind = rng.randrange(4)
     if kind == 3:
         return [[GaussianRational(0)] * n for _ in range(n)]
     if kind == 2 and n >= 2:
