@@ -6,8 +6,9 @@ sqrt(2) coordinates stay exact.  A context is a maximal set of mutually
 orthogonal rays of size equal to the dimension; a coloring assigns 0/1 to
 rays so that no two orthogonal rays are both 1 and every context holds
 exactly one 1.  ``build_graph`` clears each ray once to integer
-coefficients, tests each pair with four integer sums and finds the contexts
-by clique extension over neighbors.  ``find_ks_coloring`` decides
+coefficients, keeps the slots the set uses, tests each pair with up to four
+integer sums, stopping at the first nonzero one, and finds the contexts by
+clique extension over neighbor bitmasks.  ``find_ks_coloring`` decides
 colorability by backtracking with unit propagation; ``brute_force_coloring``
 is the independent cross-check for small instances.  ``perturb_to_suitable``
 replaces every context by a nearby exactly-suitable frame, showing how
@@ -20,10 +21,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from operator import mul
 from typing import Optional, Sequence
 
 from .coloring import TruthValue, truth_sum
@@ -75,11 +77,7 @@ class RaySet:
 
     def ray_floats(self, k: int) -> list[float]:
         """The 2n interleaved real float coordinates of ray k."""
-        out = []
-        for e in self.rays[k]:
-            out.append(e.re.to_float())
-            out.append(e.im.to_float())
-        return out
+        return [p.to_float() for e in self.rays[k] for p in (e.re, e.im)]
 
     def is_rational(self) -> bool:
         return all(
@@ -101,66 +99,71 @@ class OrthGraph:
         return sum(1 for ctx in self.contexts if i in ctx)
 
 
-def _orth_rows(x: list[int]) -> tuple:
-    """Four integer rows w with <u, v> = 0 exactly when u . w = 0 for all
-    four, where v clears to ``x`` and u is any cleared ray.
+def _orth_rows(x: Sequence[int], slots: Sequence[int], live: Sequence[int]) -> list:
+    """Rows ``live`` of four integer rows w on ``slots``: <u, v> = 0 iff
+    u . w = 0 for all four, for v cleared to ``x`` and u any cleared ray 0 off them.
 
     Per entry, u = (a + b*s2) + i(c + d*s2) and v = (e + f*s2) + i(g + h*s2)
     give conj(u)*v = (ae + 2bf + cg + 2dh) + (af + be + ch + dg)*s2
     + i[(ag + 2bh - ce - 2df) + (ah + bg - cf - de)*s2]; 1 and sqrt2 are
     independent over Q, so the inner product vanishes iff all four sums do.
+    On slot s, row r reads x[s ^ r] times a factor fixed by s mod 4, so row
+    r is 0 for every x when no s ^ r is in ``slots``, and need not be live.
     """
-    rows = ([], [], [], [])
-    for k in range(0, len(x), 4):
-        e, f, g, h = x[k : k + 4]
-        rows[0].extend((e, 2 * f, g, 2 * h))
-        rows[1].extend((f, e, h, g))
-        rows[2].extend((g, 2 * h, -e, -2 * f))
-        rows[3].extend((h, g, -f, -e))
-    return rows
+    factors = ((1, 2, 1, 2), (1, 1, 1, 1), (1, 2, -1, -2), (1, 1, -1, -1))
+    return [tuple([factors[r][s & 3] * x[s ^ r] for s in slots]) for r in live]
 
 
 def build_graph(rs: RaySet) -> OrthGraph:
     """Adjacency by exact integer orthogonality tests; contexts by clique
-    extension over neighbors.
+    extension over neighbor bitmasks.
 
-    Each ray is cleared once to integers, so a pair costs at most four
-    integer dot products.  Contexts grow from each ray by adding higher
-    neighbors in ascending order, keeping only candidates adjacent to every
-    ray already chosen; they come out in lexicographic order.
+    Each ray is cleared once to integers, read only on the slots some ray
+    uses, with only its ``_orth_rows`` nonzero there (one for a real
+    rational set); a pair stops at its first nonzero sum.  Contexts grow
+    from each ray by adding higher neighbors, lowest first, from one int of
+    candidate bits, while enough candidates are left to reach size d; they
+    come out in lexicographic order.
     """
     n, d = len(rs), rs.dimension
     # each ray's 4n coefficients, cleared: a positive multiple of the ray
     xs = [_cleared(q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
           for ray in rs.rays]
-    rows = [_orth_rows(x) for x in xs]
-    nbr = [set() for _ in range(n)]
-    pairs = []
+    used = [s for s, col in enumerate(zip(*xs)) if any(col)]
+    live = [r for r in range(4) if any(s ^ r in used for s in used)]
+    rows = [[w for w in _orth_rows(x, used, live) if any(w)] for x in xs]
+    xs = [tuple([x[s] for s in used]) for x in xs]
+    pairs, nbr = [], [[] for _ in range(n)]
     for i in range(n):
         xi = xs[i]
         for j in range(i + 1, n):
-            if not any(sum(map(operator.mul, xi, w)) for w in rows[j]):
+            for w in rows[j]:
+                if sum(map(mul, xi, w)):
+                    break
+            else:
                 pairs.append((i, j))
-                nbr[i].add(j)
-                nbr[j].add(i)
+                nbr[i].append(j)
+                nbr[j].append(i)
+    masks = [sum(1 << j for j in s) for s in nbr]
     contexts = []
-    stack = [((), tuple(range(n)))]
+    stack = [((), (1 << n) - 1)]
     while stack:
         clique, cands = stack.pop()
-        if len(clique) == d:
+        need = d - len(clique)
+        if not need:
             contexts.append(clique)
             continue
-        # Push children last-first so they pop in ascending order; skip
-        # those left with too few candidates to reach size d.
-        for k in range(len(cands) - (d - len(clique)), -1, -1):
-            j = cands[k]
-            rest = tuple(c for c in cands[k + 1 :] if c in nbr[j])
-            stack.append((clique + (j,), rest))
+        children = []
+        while cands.bit_count() >= need:
+            j = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            children.append((clique + (j,), cands & masks[j]))
+        stack += reversed(children)  # so that they pop in ascending order
     return OrthGraph(
         dimension=d,
         num_rays=n,
         pairs=tuple(pairs),
-        neighbors=tuple(frozenset(s) for s in nbr),
+        neighbors=tuple(map(frozenset, nbr)),
         contexts=tuple(contexts),
     )
 
@@ -225,7 +228,7 @@ def find_ks_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
     highest degree, then lowest index), trying 1 before 0; the SAT/UNSAT
     verdict does not depend on this order.
     """
-    ctx_count = [g.context_count(i) for i in range(g.num_rays)]
+    ctx_count = Counter(itertools.chain.from_iterable(g.contexts))
 
     def search(state: list) -> Optional[list]:
         if not _propagate(g, state):
@@ -373,14 +376,10 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     if redo:
         key = keys()
 
-    contexts = []
-    all_suitable = True
-    for ci, ctx in enumerate(g.contexts):
-        frame, values, dist2 = results[ci]
-        total = truth_sum(frame)
-        if total != 1 or values.count(TruthValue.TRUE) != 1:
-            all_suitable = False
-        contexts.append(PerturbedContext(ci, ctx, frame, values, total, dist2))
+    contexts = [PerturbedContext(ci, ctx, frame, values, truth_sum(frame), dist2)
+                for ci, (ctx, (frame, values, dist2)) in enumerate(zip(g.contexts, results))]
+    all_suitable = all(c.truth_total == 1 and c.values.count(TruthValue.TRUE) == 1
+                       for c in contexts)
 
     divergences = [
         DivergenceEntry(ray, rs.labels[ray], c1, c2, key[c1, p1] != key[c2, p2])
@@ -428,11 +427,8 @@ def load_rayset(text: str) -> RaySet:
     self-check headers, then one ``ray <label> <c1> ... <cn>`` line per ray.
     Blank lines and ``#`` comments are ignored.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0].split() != ["rayset", "v1"]:
         raise InvalidInputError("missing 'rayset v1' header")
     dimension = None

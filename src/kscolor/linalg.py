@@ -128,7 +128,7 @@ class GVector(_ClearedForm):
 
     ``cleared`` is the only stored form: the 2n real coordinates (re1, im1,
     re2, im2, ...) as integers x over one denominator d.  Entries and real
-    coordinates are derived from it on each read.
+    coordinates are derived from it on each read, ``v[k]`` only entry k.
     """
 
     __slots__ = ("cleared",)
@@ -174,7 +174,11 @@ class GVector(_ClearedForm):
         return len(self.cleared[0]) // 2
 
     def __getitem__(self, k):
-        return self.entries[k]
+        x, d = self.cleared
+        at = range(0, len(x), 2)[k]
+        if isinstance(at, range):
+            return tuple(_gaussians([c for j in at for c in x[j : j + 2]], d))
+        return GaussianRational(Fraction(x[at], d), Fraction(x[at + 1], d))
 
     def __iter__(self):
         return iter(self.entries)

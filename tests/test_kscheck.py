@@ -3,7 +3,9 @@ cross-check, and per-context suitable perturbation."""
 
 import itertools
 import math
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,15 @@ from kscolor.kscheck import (
     load_rayset,
     perturb_to_suitable,
 )
-from kscolor.linalg import GVector, _ray_key, inner_product, norm2, ray_dist2, same_ray
+from kscolor.linalg import (
+    GVector,
+    _cleared,
+    _ray_key,
+    inner_product,
+    norm2,
+    ray_dist2,
+    same_ray,
+)
 
 
 def rational_rayset(vectors, dimension, labels=None):
@@ -143,6 +153,55 @@ def _reference_graph(rs):
     return tuple(pairs), tuple(frozenset(s) for s in nbr), tuple(contexts)
 
 
+def _reference_orth_rows(x):
+    """The four rows of the integer test over all 4d slots of ``x``."""
+    rows = ([], [], [], [])
+    for k in range(0, len(x), 4):
+        e, f, g, h = x[k : k + 4]
+        rows[0].extend((e, 2 * f, g, 2 * h))
+        rows[1].extend((f, e, h, g))
+        rows[2].extend((g, 2 * h, -e, -2 * f))
+        rows[3].extend((h, g, -f, -e))
+    return rows
+
+
+def _reference_build_graph(rs):
+    """The integer test and clique extension without the slot, row and
+    bitmask shortcuts: all four rows over all 4d slots for every pair, and
+    candidates as tuples filtered by neighbor sets.  Fast enough for the
+    large sets that ``_reference_graph`` cannot enumerate."""
+    n, d = len(rs), rs.dimension
+    xs = [_cleared(q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
+          for ray in rs.rays]
+    rows = [_reference_orth_rows(x) for x in xs]
+    nbr = [set() for _ in range(n)]
+    pairs = []
+    for i in range(n):
+        xi = xs[i]
+        for j in range(i + 1, n):
+            if not any(sum(map(operator.mul, xi, w)) for w in rows[j]):
+                pairs.append((i, j))
+                nbr[i].add(j)
+                nbr[j].add(i)
+    contexts = []
+    stack = [((), tuple(range(n)))]
+    while stack:
+        clique, cands = stack.pop()
+        if len(clique) == d:
+            contexts.append(clique)
+            continue
+        for k in range(len(cands) - (d - len(clique)), -1, -1):
+            j = cands[k]
+            rest = tuple(c for c in cands[k + 1 :] if c in nbr[j])
+            stack.append((clique + (j,), rest))
+    return tuple(pairs), tuple(frozenset(s) for s in nbr), tuple(contexts)
+
+
+def _graph(rs):
+    g = build_graph(rs)
+    return g.pairs, g.neighbors, g.contexts
+
+
 def _random_fraction(rng):
     return Fraction(rng.randint(-9, 9), rng.randint(2, 9))
 
@@ -184,6 +243,30 @@ def _turn(ray):
     return [c * a + s * b, s * a + c * b, *ray[2:]]
 
 
+def _rational_rays():
+    return [list(ray) for ray in load_builtin("peres24").rays]
+
+
+def _times(rays, z):
+    return [[e * z for e in ray] for ray in rays]
+
+
+_Q = [QuadComplex(Fraction(p, q)) for p, q in ((1, 1), (-2, 3), (5, 7), (9, 2))]
+_SQRT2 = [QuadComplex(q) for q in (QuadRational(0, 1), QuadRational(1, 1),
+                                   QuadRational(Fraction(-1, 3), 2), QuadRational(3))]
+_GAUSS = [QuadComplex(Fraction(3, 5), Fraction(4, 5)), QuadComplex(2, -1), QuadComplex(Fraction(1, 3))]
+# name: (rays, scalars that keep the pattern, the slots used: 0 re, 1 re*sqrt2,
+# 2 im, 3 im*sqrt2, of each entry)
+_SLOT_PATTERNS = {
+    "real_rational": (_rational_rays, _Q, {0}),
+    "real_sqrt2": (lambda: [list(ray) for ray in load_builtin("peres33").rays], _SQRT2, {0, 1}),
+    "gaussian_rational": (lambda: [_turn(ray) for ray in _rational_rays()], _GAUSS, {0, 2}),
+    "imaginary": (lambda: _times(_rational_rays(), QuadComplex(0, 1)), _Q, {2}),
+    "imaginary_sqrt2": (lambda: _times(_rational_rays(), QuadComplex(0, QuadRational(0, 1))),
+                        _Q, {3}),
+}
+
+
 class TestIntegerKernel:
     def test_matches_reference_on_scaled_complex_sets(self):
         """Whole contexts and single rays of peres33 or peres24 plus random
@@ -220,11 +303,51 @@ class TestIntegerKernel:
             g = build_graph(rs)
             assert (g.pairs, g.neighbors, g.contexts) == _reference_graph(rs)
 
+            assert _reference_build_graph(rs) == _reference_graph(rs)
+
     @pytest.mark.parametrize("name", ["peres33", "peres24"])
     def test_matches_reference_on_builtins(self, name):
         rs = load_builtin(name)
         g = build_graph(rs)
         assert (g.pairs, g.neighbors, g.contexts) == _reference_graph(rs)
+        assert _reference_build_graph(rs) == _reference_graph(rs)
+
+    @pytest.mark.parametrize("pattern", list(_SLOT_PATTERNS))
+    def test_sets_on_one_slot_pattern(self, pattern):
+        """Sets whose rays all use the same coefficient slots: real rational,
+        real Q(sqrt2), Gaussian rational, purely imaginary and i*sqrt2
+        times rational."""
+        base, scalars, slots = _SLOT_PATTERNS[pattern]
+        rng = random.Random(pattern)
+        for trial in range(4):
+            rays = base()
+            scaled = [[e * rng.choice(scalars) for e in ray] for ray in rays]
+            rng.shuffle(scaled)
+            rs = RaySet(len(rays[0]), scaled)
+            used = {k for ray in rs.rays for e in ray
+                    for k, q in enumerate((e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)) if q}
+            assert used == slots
+            assert _graph(rs) == _reference_graph(rs)
+
+    @pytest.mark.parametrize("part", ["1", "sqrt2", "i", "i*sqrt2"])
+    def test_inner_product_in_one_part(self, part):
+        """Pairs whose inner product is nonzero in exactly one of its four
+        parts, (1, 0, 0) against (z, 1, 0) and (0, 1, 0) against
+        (1, -conj(z), 0), in both orders and times real scalars: each part
+        alone must make the pair non-orthogonal."""
+        z = {"1": QuadComplex(1), "sqrt2": QuadComplex(QuadRational(0, 1)),
+             "i": QuadComplex(0, 1), "i*sqrt2": QuadComplex(0, QuadRational(0, 1))}[part]
+        one, zero = QuadComplex(1), QuadComplex(0)
+        rays = [[one, zero, zero], [zero, one, zero], [zero, zero, one],
+                [z, one, zero], [one, -z.conjugate(), zero]]
+        orders = [list(range(5)), list(range(4, -1, -1))]
+        orders += [random.Random(k).sample(range(5), 5) for k in range(4)]
+        for perm in orders:
+            for c in (QuadComplex(1), QuadComplex(QuadRational(Fraction(1, 3), 2))):
+                rs = RaySet(3, [[e * c for e in rays[k]] for k in perm])
+                g = build_graph(rs)
+                assert (g.pairs, g.neighbors, g.contexts) == _reference_graph(rs)
+                assert len(g.pairs) == 6 and len(g.contexts) == 2
 
 
 class TestSolver:
@@ -265,6 +388,17 @@ class TestSolver:
             if slow is not None:
                 assert is_valid_coloring(g, slow)
 
+    def test_branch_order_matches_context_count(self):
+        """The counts taken in one pass over the contexts are those of
+        ``OrthGraph.context_count``, so the same coloring comes back."""
+        rng = random.Random(18)
+        graphs = []
+        for rs in _NULL_SETS.values():
+            graphs += [build_graph(rs)] + [build_graph(sub) for sub in sub_ray_sets(rng, rs, 2)]
+        colorings = [find_ks_coloring(g) for g in graphs]
+        assert colorings == [_reference_find_ks_coloring(g) for g in graphs]
+        assert colorings[0] is None and sum(c is not None for c in colorings) > 20
+
     def test_unsat_stable_under_relabeling(self):
         rs = load_builtin("peres33")
         rng = random.Random(7)
@@ -275,6 +409,29 @@ class TestSolver:
             labels = [rs.labels[i] for i in perm]
             shuffled = RaySet(rs.dimension, rays, labels)
             assert find_ks_coloring(build_graph(shuffled)) is None
+
+
+def _reference_find_ks_coloring(g):
+    """``find_ks_coloring`` with its counts read by ``context_count``."""
+    ctx_count = [g.context_count(i) for i in range(g.num_rays)]
+
+    def search(state):
+        if not kscheck._propagate(g, state):
+            return None
+        free = [i for i in range(g.num_rays) if state[i] is None]
+        if not free:
+            return state
+        pick = max(free, key=lambda i: (ctx_count[i], len(g.neighbors[i]), -i))
+        for value in (1, 0):
+            child = state.copy()
+            child[pick] = value
+            result = search(child)
+            if result is not None:
+                return result
+        return None
+
+    solution = search([None] * g.num_rays)
+    return None if solution is None else dict(enumerate(solution))
 
 
 def rational_like_subset(rs, indices):
@@ -431,6 +588,56 @@ class TestNullificationEveryDimension:
             for c in perturb_to_suitable(rs, eps).contexts:
                 for leg, ray in zip(c.frame, c.ray_indices):
                     assert ray_dist2(leg, exact[ray]) <= eps * eps
+
+
+def sub_ray_sets(rng, rs, repeat):
+    """Unions of random whole contexts of rs, capped at 12 to 18 rays, each
+    cap ``repeat`` times: the sub-instances of the benchmark's ks workload."""
+    contexts = list(_reference_build_graph(rs)[2])
+    subs = []
+    for cap in range(12, 19):
+        for _ in range(repeat):
+            chosen = set()
+            for ctx in rng.sample(contexts, len(contexts)):
+                if len(chosen | set(ctx)) <= cap:
+                    chosen |= set(ctx)
+            idx = sorted(chosen)
+            subs.append(RaySet(rs.dimension, [rs.rays[i] for i in idx],
+                               [rs.labels[i] for i in idx]))
+    return subs
+
+
+class TestGraphAtScale:
+    """``build_graph`` equals the reference integer test on sets too large
+    for ``_reference_graph`` to enumerate, and {0,+-1}^6 is a stress test
+    for the graph and the solver."""
+
+    def test_zero_pm1_5(self):
+        rs = zero_pm1(5)
+        assert _graph(rs) == _reference_build_graph(rs)
+
+    @pytest.mark.parametrize("name", list(_NULL_SETS))
+    def test_sub_instances(self, name):
+        for sub in sub_ray_sets(random.Random(name), _NULL_SETS[name], 4):
+            assert _graph(sub) == _reference_build_graph(sub)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10**4), Fraction(1, 10**40)])
+    def test_union_of_perturbed_frames(self, eps):
+        """The legs of peres24's frames are tall Gaussian rationals."""
+        report = perturb_to_suitable(_NULL_SETS["peres24"], eps)
+        rs = RaySet(4, [leg.entries for c in report.contexts for leg in c.frame])
+        assert _graph(rs) == _reference_build_graph(rs)
+
+    def test_zero_pm1_6(self):
+        rs = zero_pm1(6)
+        start = time.perf_counter()
+        g = build_graph(rs)
+        coloring = find_ks_coloring(g)
+        elapsed = time.perf_counter() - start
+        assert (len(rs), len(g.contexts), len(g.pairs)) == (364, 1408, 15806)
+        assert coloring is None
+        assert elapsed < 10, f"{elapsed:.2f} s for the graph and the solve"
+        assert (g.pairs, g.neighbors, g.contexts) == _reference_build_graph(rs)
 
 
 class TestRayKey:

@@ -375,6 +375,31 @@ class TestOneForm:
                 if same:
                     assert hash(u) == hash(v)
 
+    def test_indexing_matches_entries(self):
+        """``v[k]`` derives only the entries asked for; int, negative and
+        slice indices, and the errors of bad ones, behave as on ``entries``."""
+        rng = random.Random(20261104)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            v = rand_gvector(rng, n)
+            ent = v.entries
+            for k in [*range(-n - 2, n + 2), True, np.int64(n - 1)]:
+                if -n <= k < n:
+                    assert type(v[k]) is GaussianRational and repr(v[k]) == repr(ent[k])
+                else:
+                    with pytest.raises(IndexError):
+                        v[k]
+            bounds = (None, *range(-n - 2, n + 3))
+            for _ in range(20):
+                sl = slice(rng.choice(bounds), rng.choice(bounds),
+                           rng.choice((None, 1, 2, 3, -1, -2)))
+                assert type(v[sl]) is tuple and repr(v[sl]) == repr(ent[sl])
+        for bad, err in (("0", TypeError), (1.0, TypeError), (slice(None, None, 0), ValueError)):
+            with pytest.raises(err):
+                ent[bad]
+            with pytest.raises(err):
+                v[bad]
+
     def test_only_the_cleared_slot(self):
         v = GVector([GaussianRational(Fraction(1, 2)), GaussianRational(0, 3)])
         assert GVector.__slots__ == ("cleared",)
@@ -485,9 +510,10 @@ class TestMatrixForm:
             x, d = m.cleared
             assert isinstance(x, tuple) and len(x) == 4 * n * n
             assert all(isinstance(c, int) for c in x) and d > 0 and math.gcd(d, *x) == 1
-        for u in pool:
-            for v in pool:
-                same = u.rows == v.rows
+        rows = [m.rows for m in pool]
+        for u, u_rows in zip(pool, rows):
+            for v, v_rows in zip(pool, rows):
+                same = u_rows == v_rows
                 assert (u == v) is same
                 if same:
                     assert hash(u) == hash(v)
