@@ -38,32 +38,30 @@ in binary64; a generic target fails at its first coordinate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
+from ._record import Record
 from .coloring import TruthValue, classify_in_frame, classify_ray
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import _coerce_eps, format_fraction, rationalize
 from .linalg import Frame, GVector, _cleared, _ray_dist2, _round_div, gram_schmidt
 
 
-@dataclass(frozen=True)
-class ApproxResult:
+class ApproxResult(Record):
     """An exactly-verified approximation outcome.
 
     ``object`` is the constructed GVector or Frame, built by one lattice
     rounding at a scale proven up front (no retries); ``achieved_dist2`` the
-    exact squared projector distance to the exact binary64 target (max over
-    legs for frames; 0 when a TRUE target is passed through);
-    ``certificate`` the coloring of the object; ``witness`` an optional
-    suitable frame (present for false rays).
+    exact squared projector distance (a Fraction) to the exact binary64
+    target (max over legs for frames; 0 when a TRUE target is passed
+    through); ``certificate`` the coloring of the object, a TruthValue or a
+    list of them; ``witness`` an optional suitable Frame (present for false
+    rays, else None).
     """
 
-    object: Union[GVector, Frame]
-    achieved_dist2: Fraction
-    certificate: Union[TruthValue, list[TruthValue]]
-    witness: Optional[Frame] = None
+    _fields = ("object", "achieved_dist2", "certificate", "witness")
+    _defaults = {"witness": None}
 
 
 def _validate_real_target(target) -> list[float]:

@@ -22,12 +22,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from operator import mul
 from typing import Optional, Sequence
 
+from ._record import Record
 from .coloring import TruthValue, truth_sum
 from .density import _frame_near, _scale, _validate_frame_target
 from .errors import InvalidInputError, ResourceLimitError
@@ -85,15 +84,13 @@ class RaySet:
         )
 
 
-@dataclass(frozen=True)
-class OrthGraph:
-    """Exact orthogonality structure of a RaySet."""
+class OrthGraph(Record):
+    """Exact orthogonality structure of a RaySet: ``pairs`` the sorted (i, j)
+    with i < j that are exactly orthogonal, ``neighbors`` each ray's
+    frozenset of adjacent indices, ``contexts`` the sorted index tuples of
+    size ``dimension``."""
 
-    dimension: int
-    num_rays: int
-    pairs: tuple  # sorted (i, j) with i < j, exactly orthogonal
-    neighbors: tuple  # per-ray frozenset of adjacent indices
-    contexts: tuple  # sorted index tuples of size == dimension
+    _fields = ("dimension", "num_rays", "pairs", "neighbors", "contexts")
 
     def context_count(self, i: int) -> int:
         return sum(1 for ctx in self.contexts if i in ctx)
@@ -101,7 +98,8 @@ class OrthGraph:
 
 def _orth_rows(x: Sequence[int], slots: Sequence[int], live: Sequence[int]) -> list:
     """Rows ``live`` of four integer rows w on ``slots``: <u, v> = 0 iff
-    u . w = 0 for all four, for v cleared to ``x`` and u any cleared ray 0 off them.
+    u . w = 0 for all four, for v cleared to ``x`` on ``slots`` and 0 off
+    them, and u any cleared ray 0 off them.
 
     Per entry, u = (a + b*s2) + i(c + d*s2) and v = (e + f*s2) + i(g + h*s2)
     give conj(u)*v = (ae + 2bf + cg + 2dh) + (af + be + ch + dg)*s2
@@ -111,28 +109,30 @@ def _orth_rows(x: Sequence[int], slots: Sequence[int], live: Sequence[int]) -> l
     r is 0 for every x when no s ^ r is in ``slots``, and need not be live.
     """
     factors = ((1, 2, 1, 2), (1, 1, 1, 1), (1, 2, -1, -2), (1, 1, -1, -1))
-    return [tuple([factors[r][s & 3] * x[s ^ r] for s in slots]) for r in live]
+    at = dict(zip(slots, x))
+    return [tuple([factors[r][s & 3] * at.get(s ^ r, 0) for s in slots]) for r in live]
 
 
 def build_graph(rs: RaySet) -> OrthGraph:
     """Adjacency by exact integer orthogonality tests; contexts by clique
     extension over neighbor bitmasks.
 
-    Each ray is cleared once to integers, read only on the slots some ray
-    uses, with only its ``_orth_rows`` nonzero there (one for a real
-    rational set); a pair stops at its first nonzero sum.  Contexts grow
+    Each ray is cleared once to integers on only the slots some ray uses,
+    with only its ``_orth_rows`` nonzero there (one for a real rational
+    set); a pair stops at its first nonzero sum.  Contexts grow
     from each ray by adding higher neighbors, lowest first, from one int of
     candidate bits, while enough candidates are left to reach size d; they
     come out in lexicographic order.
     """
     n, d = len(rs), rs.dimension
-    # each ray's 4n coefficients, cleared: a positive multiple of the ray
-    xs = [_cleared(q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2))[0]
-          for ray in rs.rays]
-    used = [s for s, col in enumerate(zip(*xs)) if any(col)]
+    coeffs = [[q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]
+              for ray in rs.rays]
+    used = [s for s, col in enumerate(zip(*coeffs)) if any(col)]
+    # each ray's coefficients on the used slots, cleared: a positive
+    # multiple of the ray, as the other slots are 0 in every ray
+    xs = [_cleared([c[s] for s in used])[0] for c in coeffs]
     live = [r for r in range(4) if any(s ^ r in used for s in used)]
     rows = [[w for w in _orth_rows(x, used, live) if any(w)] for x in xs]
-    xs = [tuple([x[s] for s in used]) for x in xs]
     pairs, nbr = [], [[] for _ in range(n)]
     for i in range(n):
         xi = xs[i]
@@ -278,36 +278,20 @@ def brute_force_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
     return None
 
 
-@dataclass(frozen=True)
-class PerturbedContext:
+class PerturbedContext(Record):
     """One context after nullification: its exact suitable frame."""
 
-    index: int
-    ray_indices: tuple
-    frame: Frame
-    values: list
-    truth_total: int
-    max_dist2: Fraction
+    _fields = ("index", "ray_indices", "frame", "values", "truth_total", "max_dist2")
 
 
-@dataclass(frozen=True)
-class DivergenceEntry:
+class DivergenceEntry(Record):
     """Comparison of one originally-shared ray across two contexts."""
 
-    ray_index: int
-    label: str
-    context_a: int
-    context_b: int
-    distinct: bool
+    _fields = ("ray_index", "label", "context_a", "context_b", "distinct")
 
 
-@dataclass(frozen=True)
-class NullificationReport:
-    epsilon: Fraction
-    contexts: list
-    divergences: list
-    all_suitable: bool
-    all_shared_diverge: bool
+class NullificationReport(Record):
+    _fields = ("epsilon", "contexts", "divergences", "all_suitable", "all_shared_diverge")
 
 
 def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:

@@ -64,6 +64,38 @@ def _script_target(name):
     return None
 
 
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import kscolor.cli
+print(json.dumps({"file": kscolor.__file__, "before": sorted(before), "after": sorted(sys.modules)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def cli_imports():
+    """sys.modules before and after `import kscolor.cli` in a child started
+    with -S, so no site hook imports anything first."""
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert Path(probe["file"]).resolve() == Path(kscolor.__file__).resolve()
+    return probe
+
+
+class TestImportCost:
+    """One CLI call imports kscolor.cli in a fresh process, so what that
+    import loads is paid on every call."""
+
+    def test_no_dataclasses_or_inspect(self, cli_imports):
+        assert {"dataclasses", "inspect"}.isdisjoint(cli_imports["after"])
+
+    def test_only_standard_library_modules(self, cli_imports):
+        added = {m.split(".")[0] for m in set(cli_imports["after"]) - set(cli_imports["before"])}
+        assert sorted(added - set(sys.stdlib_module_names) - {"kscolor"}) == []
+
+
 class TestClassify:
     def test_true_ray_exact_bytes(self):
         code, out, err = run_main(["classify-ray", TRUE_RAY_ARG])

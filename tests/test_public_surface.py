@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, every function the
 benchmark's span tracer wraps still exists, and the benchmark's own
 self-test passes, so a library change cannot break a benchmark run
-unnoticed.  Every exported value type survives copy and pickle."""
+unnoticed.  Every exported value type survives copy and pickle, and the
+result records behave as values."""
 
 import ast
 import copy
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import kscolor
+from kscolor.kscheck import DivergenceEntry
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 SPANS = BENCHMARKS / "spans.py"
@@ -69,7 +71,55 @@ def _value_instances():
         kscolor.PovmDecomposition([[[half_s2]], [[1 - half_s2]]]),
         kscolor.ProjectionRep([[1, 0], [0, 0]]),
         kscolor.load_builtin("peres33"),
+        kscolor.nearest_true_ray([0.6, 0.0, 0.8, 0.0], Fraction(1, 100)),
+        kscolor.false_ray_near([0.6, 0.0, 0.8, 0.0, 0.1, 0.0], Fraction(1, 100)),
+        kscolor.build_graph(kscolor.load_builtin("peres33")),
+        kscolor.perturb_to_suitable(kscolor.load_builtin("peres33"), Fraction(1, 100)),
     ]
+
+
+def test_result_records_behave_as_values():
+    """The result records print, compare, hash and construct as frozen
+    dataclasses did, and refuse to change."""
+    g = kscolor.GaussianRational
+    res = kscolor.ApproxResult(kscolor.GVector([g(1), g(0, Fraction(1, 3))]), Fraction(1, 9),
+                               kscolor.TruthValue.TRUE)
+    assert repr(res) == (
+        "ApproxResult(object=GVector([GaussianRational(Fraction(1, 1), Fraction(0, 1)), "
+        "GaussianRational(Fraction(0, 1), Fraction(1, 3))]), achieved_dist2=Fraction(1, 9), "
+        "certificate=<TruthValue.TRUE: 'TRUE'>, witness=None)"
+    )
+    entry = DivergenceEntry(3, "r3", 0, 2, True)
+    assert repr(entry) == "DivergenceEntry(ray_index=3, label='r3', context_a=0, context_b=2, distinct=True)"
+
+    assert entry == DivergenceEntry(ray_index=3, label="r3", context_a=0, context_b=2, distinct=True)
+    assert entry != DivergenceEntry(3, "r3", 0, 2, False)
+    assert entry != (3, "r3", 0, 2, True)
+    assert kscolor.OrthGraph(*vars(entry).values()) != kscolor.NullificationReport(*vars(entry).values())
+    assert res == kscolor.ApproxResult(res.object, res.achieved_dist2, res.certificate, witness=None)
+    assert res != kscolor.ApproxResult(res.object, Fraction(1, 10), res.certificate)
+
+    graph = kscolor.build_graph(kscolor.load_builtin("peres24"))
+    assert hash(graph) == hash(kscolor.build_graph(kscolor.load_builtin("peres24")))
+    assert hash(entry) == hash(DivergenceEntry(3, "r3", 0, 2, True))
+
+    for record in (res, entry, graph):
+        with pytest.raises(AttributeError):
+            record.label = "x"
+        with pytest.raises(AttributeError):
+            del record.contexts
+    assert list(vars(graph)) == ["dimension", "num_rays", "pairs", "neighbors", "contexts"]
+    report = kscolor.perturb_to_suitable(kscolor.load_builtin("peres33"), Fraction(1, 100))
+    assert list(vars(report)) == [
+        "epsilon", "contexts", "divergences", "all_suitable", "all_shared_diverge"]
+    assert list(vars(res)) == ["object", "achieved_dist2", "certificate", "witness"]
+
+    with pytest.raises(TypeError):
+        kscolor.ApproxResult(res.object, res.achieved_dist2)
+    with pytest.raises(TypeError):
+        kscolor.ApproxResult(res.object, res.achieved_dist2, res.certificate, color=None)
+    with pytest.raises(TypeError):
+        kscolor.ApproxResult(res.object, res.achieved_dist2, res.certificate, object=None)
 
 
 @pytest.mark.parametrize("copier", [
