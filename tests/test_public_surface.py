@@ -103,11 +103,13 @@ def test_result_records_behave_as_values():
     assert hash(graph) == hash(kscolor.build_graph(kscolor.load_builtin("peres24")))
     assert hash(entry) == hash(DivergenceEntry(3, "r3", 0, 2, True))
 
-    for record in (res, entry, graph):
+    for record, field in ((res, "witness"), (entry, "label"), (graph, "contexts")):
+        before = getattr(record, field)
         with pytest.raises(AttributeError):
-            record.label = "x"
+            setattr(record, field, 0)
         with pytest.raises(AttributeError):
-            del record.contexts
+            delattr(record, field)
+        assert getattr(record, field) is before
     assert list(vars(graph)) == ["dimension", "num_rays", "pairs", "neighbors", "contexts"]
     report = kscolor.perturb_to_suitable(kscolor.load_builtin("peres33"), Fraction(1, 100))
     assert list(vars(report)) == [
