@@ -1,7 +1,21 @@
-"""Immutable value records: a subclass names its fields, the base does the rest."""
+"""Immutable values: ``Frozen`` refuses change, and ``Record`` builds a
+value class from its field names."""
 
 
-class Record:
+class Frozen:
+    """Base of every value type: assignment and deletion raise
+    ``AttributeError``.  Constructors store through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Frozen):
     """Base of the result records: a subclass lists its field names in
     ``_fields`` and maps trailing ones to defaults in ``_defaults``.
     Instances print, compare and hash by their fields as one tuple, cannot
@@ -36,12 +50,6 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self), self._values()

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
+from ._record import Frozen
 from .errors import InvalidInputError, NotApplicableError
 from .fields import _v3_int, v3
 from .linalg import Frame, GMatrix, GVector, _matmul, inner_product, projector_of
@@ -109,7 +110,7 @@ def nonorthogonality_certificate(u: GVector, v: GVector) -> tuple[Fraction, int]
     return re, int(val)
 
 
-class ProjectionRep:
+class ProjectionRep(Frozen):
     """Hermitian matrix M with M^2 = c*M for an exact rational c > 0.
 
     The matrix M/c is an orthogonal projector; M itself is the stored
@@ -146,9 +147,6 @@ class ProjectionRep:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "idem_scale", cd / d)
         object.__setattr__(self, "rank", int(rank))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectionRep is immutable")
 
     def __reduce__(self):
         return ProjectionRep, (self.matrix,)

@@ -38,8 +38,8 @@ in binary64; a generic target fails at its first coordinate.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from ._record import Record
 from .coloring import TruthValue, classify_in_frame, classify_ray

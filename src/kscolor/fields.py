@@ -8,6 +8,8 @@ Four scalar domains, all exact:
 * ``QuadComplex``, complex numbers whose real and imaginary parts are
   QuadRational.
 
+The last three are two-part numbers a + b*u on one immutable base.
+
 On top of these the module provides the 3-adic valuation ``v3``, best rational
 approximation of machine reals (``rationalize``), and denominator adjustment
 (``adjust_denominator``), which nudges a rational by at most a prescribed
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._record import Frozen
 from .errors import InvalidInputError, ResourceLimitError
 
 INF = math.inf
@@ -179,71 +182,123 @@ def _sqrt2_sign(a, b) -> int:
     return 1 if (a * a > 2 * b * b) == (a > 0) else -1
 
 
-class QuadRational:
-    """Exact real number a + b*sqrt(2) with rational a and b.
+_new = object.__new__
+_set = object.__setattr__
 
-    Representation is unique, so equality is componentwise.  Ordering uses
-    the sign of a + b*sqrt(2), decided exactly by comparing a^2 with 2*b^2
-    when a and b have opposite signs.
+
+class _Pair(Frozen):
+    """Exact number a + b*u with a and b in a field F and u*u = ``_square``,
+    which is not a square in F, so the parts (a, b) are unique to the value:
+    ``==`` reads them, and a value with b = 0 hashes as a does.
+
+    A subclass names its two parts in ``__slots__``, sets ``_square`` and
+    the types ``_embeds`` reads as (x, 0), and reads its arguments into
+    parts in ``__init__``, which ends in ``_store``.  The arithmetic here
+    builds every result by ``_of``, from parts that need no reading.
     """
 
-    __slots__ = ("rat", "sqrt2")
+    __slots__ = ()
 
-    def __init__(self, rat=0, sqrt2=0):
-        object.__setattr__(self, "rat", _coerce_fraction(rat, "rational part"))
-        object.__setattr__(self, "sqrt2", _coerce_fraction(sqrt2, "sqrt2 coefficient"))
+    def __init_subclass__(cls):
+        # The member descriptors of the two named slots, under shared names:
+        # self._a reads the first part and _set(self, "_a", x) stores it.
+        cls._a, cls._b = [cls.__dict__[n] for n in cls.__slots__]
 
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadRational is immutable")
-
-    def __reduce__(self):
-        return QuadRational, (self.rat, self.sqrt2)
+    def _store(self, a, b):
+        _set(self, "_a", a)
+        _set(self, "_b", b)
 
     @classmethod
-    def _coerce(cls, x) -> "QuadRational":
-        if isinstance(x, QuadRational):
+    def _of(cls, a, b):
+        v = _new(cls)
+        v._store(a, b)
+        return v
+
+    def __reduce__(self):
+        return type(self), (self._a, self._b)
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, cls):
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, cls._embeds):
             return cls(x)
-        raise TypeError(f"cannot interpret {type(x).__name__} as QuadRational")
+        raise TypeError(f"cannot interpret {type(x).__name__} as {cls.__name__}")
 
     def __add__(self, other):
         try:
-            o = QuadRational._coerce(other)
+            o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadRational(self.rat + o.rat, self.sqrt2 + o.sqrt2)
+        return self._of(self._a + o._a, self._b + o._b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         try:
-            o = QuadRational._coerce(other)
+            o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadRational(self.rat - o.rat, self.sqrt2 - o.sqrt2)
+        return self._of(self._a - o._a, self._b - o._b)
 
     def __rsub__(self, other):
         try:
-            o = QuadRational._coerce(other)
+            o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadRational(o.rat - self.rat, o.sqrt2 - self.sqrt2)
+        return self._of(o._a - self._a, o._b - self._b)
 
     def __neg__(self):
-        return QuadRational(-self.rat, -self.sqrt2)
+        return self._of(-self._a, -self._b)
 
     def __mul__(self, other):
         try:
-            o = QuadRational._coerce(other)
+            o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return QuadRational(
-            self.rat * o.rat + 2 * self.sqrt2 * o.sqrt2,
-            self.rat * o.sqrt2 + self.sqrt2 * o.rat,
-        )
+        a, b, c, d = self._a, self._b, o._a, o._b
+        # (a + bu)(c + du) = (ac + bd*u^2) + (ad + bc)u, with u^2 = 2 or -1
+        first = a * c + 2 * b * d if self._square == 2 else a * c - b * d
+        return self._of(first, a * d + b * c)
 
     __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self._a and not self._b
+
+    def __bool__(self):
+        return bool(self._a) or bool(self._b)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b
+
+    def __hash__(self):
+        if not self._b:
+            return hash(self._a)
+        return hash((self._a, self._b))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._a!r}, {self._b!r})"
+
+
+class QuadRational(_Pair):
+    """Exact real number a + b*sqrt(2) with rational a and b.
+
+    Ordering uses the sign of a + b*sqrt(2), decided exactly by comparing
+    a^2 with 2*b^2 when a and b have opposite signs.
+    """
+
+    __slots__ = ("rat", "sqrt2")
+    _square = 2
+    _embeds = (int, Fraction)
+
+    def __init__(self, rat=0, sqrt2=0):
+        self._store(_coerce_fraction(rat, "rational part"), _coerce_fraction(sqrt2, "sqrt2 coefficient"))
 
     def inverse(self) -> "QuadRational":
         # 1/(a + b*sqrt2) = (a - b*sqrt2) / (a^2 - 2 b^2); the norm vanishes
@@ -251,7 +306,7 @@ class QuadRational:
         norm = self.rat * self.rat - 2 * self.sqrt2 * self.sqrt2
         if norm == 0:
             raise InvalidInputError("division by zero QuadRational")
-        return QuadRational(self.rat / norm, -self.sqrt2 / norm)
+        return self._of(self.rat / norm, -self.sqrt2 / norm)
 
     def __truediv__(self, other):
         try:
@@ -267,24 +322,9 @@ class QuadRational:
             return NotImplemented
         return o * self.inverse()
 
-    def is_zero(self) -> bool:
-        return self.rat == 0 and self.sqrt2 == 0
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(2): -1, 0 or 1."""
         return _sqrt2_sign(self.rat, self.sqrt2)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuadRational(other)
-        if not isinstance(other, QuadRational):
-            return NotImplemented
-        return self.rat == other.rat and self.sqrt2 == other.sqrt2
-
-    def __hash__(self):
-        if self.sqrt2 == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.sqrt2))
 
     def __lt__(self, other):
         o = QuadRational._coerce(other)
@@ -305,9 +345,6 @@ class QuadRational:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def __bool__(self):
-        return not self.is_zero()
-
     def to_float(self) -> float:
         """a + b*sqrt2 rounded to binary64, to about 96 bits before rounding.
 
@@ -323,86 +360,33 @@ class QuadRational:
             return float((a * a - 2 * b * b) / (a - b * _SQRT2))
         return float(a + b * _SQRT2)
 
-    def __repr__(self):
-        return f"QuadRational({self.rat!r}, {self.sqrt2!r})"
-
     def __str__(self):
-        if self.sqrt2 == 0:
-            return str(self.rat)
-        s2 = f"{'+' if self.sqrt2 > 0 else '-'}{abs(self.sqrt2)}s2"
-        if self.rat == 0 and self.sqrt2 > 0:
-            return f"{self.sqrt2}s2" if self.sqrt2 != 1 else "s2"
-        if self.rat == 0:
-            return f"-{abs(self.sqrt2)}s2" if self.sqrt2 != -1 else "-s2"
-        return f"{self.rat}{s2}"
+        """The compact token that ``serialize.parse_quad_token`` reads:
+        '3', '-1/2', 's2', '-s2', '3/4s2', '1+s2', '1/2-1/3s2'."""
+        a, b = self.rat, self.sqrt2
+        if not b:
+            return format_fraction(a)
+        s2 = "s2" if b == 1 else "-s2" if b == -1 else f"{format_fraction(b)}s2"
+        if not a:
+            return s2
+        return f"{format_fraction(a)}{'+' if b > 0 else ''}{s2}"
 
 
 QUAD_ZERO = QuadRational(0)
 
 
-class GaussianRational:
+class GaussianRational(_Pair):
     """Exact complex number with rational real and imaginary parts."""
 
     __slots__ = ("re", "im")
+    _square = -1
+    _embeds = (int, Fraction)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce_fraction(re, "real part"))
-        object.__setattr__(self, "im", _coerce_fraction(im, "imaginary part"))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __reduce__(self):
-        return GaussianRational, (self.re, self.im)
-
-    @classmethod
-    def _coerce(cls, x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return cls(x)
-        raise TypeError(f"cannot interpret {type(x).__name__} as GaussianRational")
-
-    def __add__(self, other):
-        try:
-            o = GaussianRational._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = GaussianRational._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        try:
-            o = GaussianRational._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other):
-        try:
-            o = GaussianRational._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
+        self._store(_coerce_fraction(re, "real part"), _coerce_fraction(im, "imaginary part"))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._of(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact nonnegative rational."""
@@ -412,7 +396,7 @@ class GaussianRational:
         n = self.abs2()
         if n == 0:
             raise InvalidInputError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return self._of(self.re / n, -self.im / n)
 
     def __truediv__(self, other):
         try:
@@ -421,49 +405,20 @@ class GaussianRational:
             return NotImplemented
         return self * o.inverse()
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
 
-
-class QuadComplex:
+class QuadComplex(_Pair):
     """Exact complex number whose real and imaginary parts live in Q(sqrt2)."""
 
     __slots__ = ("re", "im")
+    _square = -1
+    _embeds = (QuadRational, int, Fraction)
 
     def __init__(self, re=QUAD_ZERO, im=QUAD_ZERO):
-        if not isinstance(re, QuadRational):
-            re = QuadRational(re)
-        if not isinstance(im, QuadRational):
-            im = QuadRational(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadComplex is immutable")
-
-    def __reduce__(self):
-        return QuadComplex, (self.re, self.im)
+        self._store(re if isinstance(re, QuadRational) else QuadRational(re),
+                    im if isinstance(im, QuadRational) else QuadRational(im))
 
     @classmethod
     def from_gaussian(cls, z: GaussianRational) -> "QuadComplex":
@@ -473,78 +428,15 @@ class QuadComplex:
     def _coerce(cls, x) -> "QuadComplex":
         if isinstance(x, QuadComplex):
             return x
-        if isinstance(x, QuadRational):
-            return cls(x)
         if isinstance(x, GaussianRational):
             return cls.from_gaussian(x)
-        if isinstance(x, (int, Fraction)):
-            return cls(QuadRational(x))
-        raise TypeError(f"cannot interpret {type(x).__name__} as QuadComplex")
-
-    def __add__(self, other):
-        try:
-            o = QuadComplex._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QuadComplex(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = QuadComplex._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QuadComplex(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        try:
-            o = QuadComplex._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QuadComplex(o.re - self.re, o.im - self.im)
-
-    def __neg__(self):
-        return QuadComplex(-self.re, -self.im)
-
-    def __mul__(self, other):
-        try:
-            o = QuadComplex._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return QuadComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    __rmul__ = __mul__
+        return super()._coerce(x)
 
     def conjugate(self) -> "QuadComplex":
-        return QuadComplex(self.re, -self.im)
+        return self._of(self.re, -self.im)
 
     def abs2(self) -> QuadRational:
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
-    def __eq__(self, other):
-        try:
-            o = QuadComplex._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        if self.im.is_zero():
-            return hash(self.re)
-        return hash((self.re, self.im))
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def to_complex(self) -> complex:
         return complex(self.re.to_float(), self.im.to_float())
-
-    def __repr__(self):
-        return f"QuadComplex({self.re!r}, {self.im!r})"

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from collections import Counter
-from importlib import resources
+from collections.abc import Sequence
 from operator import mul
-from typing import Optional, Sequence
 
-from ._record import Record
+from ._record import Frozen, Record
 from .coloring import TruthValue, truth_sum
 from .density import _frame_near, _scale, _validate_frame_target
 from .errors import InvalidInputError, ResourceLimitError
@@ -35,14 +35,15 @@ from .linalg import Frame, _cleared, _ray_key
 from .serialize import format_quad_token, parse_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-class RaySet:
+class RaySet(Frozen):
     """A labeled list of rays in one dimension, entries in Q(sqrt2)-complex."""
 
     __slots__ = ("dimension", "rays", "labels")
 
-    def __init__(self, dimension: int, rays: Sequence, labels: Optional[Sequence[str]] = None):
+    def __init__(self, dimension: int, rays: Sequence, labels: Sequence[str] | None = None):
         if not isinstance(dimension, int) or dimension < 2:
             raise InvalidInputError("dimension must be an integer >= 2")
         rs = tuple(tuple(QuadComplex._coerce(e) for e in ray) for ray in rays)
@@ -64,9 +65,6 @@ class RaySet:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "rays", rs)
         object.__setattr__(self, "labels", labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RaySet is immutable")
 
     def __reduce__(self):
         return RaySet, (self.dimension, self.rays, self.labels)
@@ -219,7 +217,7 @@ def _propagate(g: OrthGraph, state: list) -> bool:
     return True
 
 
-def find_ks_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
+def find_ks_coloring(g: OrthGraph) -> dict[int, int] | None:
     """A valid coloring, or None when the constraints are unsatisfiable.
 
     Backtracking with unit propagation: a 1 zeroes its neighbors, a context
@@ -230,7 +228,7 @@ def find_ks_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
     """
     ctx_count = Counter(itertools.chain.from_iterable(g.contexts))
 
-    def search(state: list) -> Optional[list]:
+    def search(state: list) -> list | None:
         if not _propagate(g, state):
             return None
         free = [i for i in range(g.num_rays) if state[i] is None]
@@ -251,7 +249,7 @@ def find_ks_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
     return {i: solution[i] for i in range(g.num_rays)}
 
 
-def brute_force_coloring(g: OrthGraph) -> Optional[dict[int, int]]:
+def brute_force_coloring(g: OrthGraph) -> dict[int, int] | None:
     """Exhaustive enumeration over all 2^k assignments; the independent
     cross-validator for small instances."""
     n = g.num_rays
@@ -478,11 +476,11 @@ def dump_rayset(rs: RaySet, with_checks: bool = True) -> str:
 
 
 def load_builtin(name: str) -> RaySet:
-    """Load a packaged ray set by name, e.g. 'peres33' or 'peres24'."""
+    """Load a packaged ray set by name, e.g. 'peres33' or 'peres24', from
+    the ``data`` directory beside this module."""
     try:
-        text = (
-            resources.files("kscolor.data").joinpath(f"{name}.rays").read_text("utf-8")
-        )
+        with open(os.path.join(_DATA, f"{name}.rays"), encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError as exc:
         raise InvalidInputError(f"no packaged ray set named {name!r}") from exc
     return load_rayset(text)

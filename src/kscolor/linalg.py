@@ -28,10 +28,11 @@ canonical denominator, which ``==`` and ``hash`` read.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence
 
+from ._record import Frozen
 from .errors import DegenerateInputError, InvalidInputError
 from .fields import (
     GaussianRational,
@@ -66,7 +67,7 @@ def _round_div(p: int, q: int) -> int:
     return k + (2 * r > q or (2 * r == q and k % 2 == 1))
 
 
-class _ClearedForm:
+class _ClearedForm(Frozen):
     """The stored form shared by ``GVector``, ``GMatrix`` and
     ``QuadHermitian``: ``cleared`` = (x, d), the value's rational parts as
     integers x over one d > 0 with gcd(d, x) = 1, unique to the value, so
@@ -82,9 +83,6 @@ class _ClearedForm:
         v = object.__new__(cls)
         object.__setattr__(v, "cleared", (tuple([c // g for c in x]), d // g))
         return v
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return type(self)._of, self.cleared
@@ -267,7 +265,7 @@ def ray_dist2(u: GVector, v: GVector) -> Fraction:
     return _ray_dist2(u.cleared[0], v.cleared[0])
 
 
-class Frame:
+class Frame(Frozen):
     """An exactly orthogonal set of n nonzero vectors in C^n.
 
     Legs are kept unnormalized; orthogonality is verified exactly on
@@ -294,9 +292,6 @@ class Frame:
                 if _inner(x, ix, legs[j].cleared[0]) != (0, 0):
                     raise InvalidInputError(f"legs {i} and {j} are not orthogonal")
         object.__setattr__(self, "legs", legs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Frame is immutable")
 
     def __reduce__(self):
         return Frame, (self.legs,)

@@ -29,9 +29,10 @@ denominator.  The exact sum to I is a sum of ``QuadHermitian`` integer forms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
+from ._record import Frozen
 from .coloring import TruthValue
 from .errors import (
     DegenerateInputError,
@@ -43,7 +44,7 @@ from .fields import QuadRational, _coerce_eps, format_fraction, rationalize
 from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
 
 
-class PovmElement:
+class PovmElement(Frozen):
     """A positive semidefinite QuadHermitian matrix, verified exactly."""
 
     __slots__ = ("matrix",)
@@ -54,9 +55,6 @@ class PovmElement:
         if not psd_check(matrix):
             raise InvalidInputError("POVM element is not positive semidefinite")
         object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PovmElement is immutable")
 
     def __reduce__(self):
         return PovmElement, (self.matrix,)
@@ -78,7 +76,7 @@ class PovmElement:
         return f"PovmElement({self.matrix!r})"
 
 
-class PovmDecomposition:
+class PovmDecomposition(Frozen):
     """A list of PovmElements summing exactly to the identity."""
 
     __slots__ = ("elements",)
@@ -95,9 +93,6 @@ class PovmDecomposition:
         if sum((e.matrix for e in elems[1:]), elems[0].matrix) != QuadHermitian.identity(n):
             raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PovmDecomposition is immutable")
 
     def __reduce__(self):
         return PovmDecomposition, (self.elements,)
@@ -158,7 +153,7 @@ def truth_sum(d: PovmDecomposition) -> int:
 
 def classify_with_witness(
     a: PovmElement,
-) -> tuple[TruthValue, Optional[PovmDecomposition]]:
+) -> tuple[TruthValue, PovmDecomposition | None]:
     """Settle the truth value of an element, producing a witness for FALSE.
 
     A non-TRUE element is FALSE exactly when some suitable decomposition
@@ -297,7 +292,7 @@ def _validate_povm_targets(targets) -> tuple[list, list, int]:
     return mats, ints, bits
 
 
-def _try_exact_passthrough(targets) -> Optional[PovmDecomposition]:
+def _try_exact_passthrough(targets) -> PovmDecomposition | None:
     if not all(isinstance(t, (QuadHermitian, PovmElement)) for t in targets):
         return None
     try:

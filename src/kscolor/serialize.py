@@ -72,21 +72,8 @@ def parse_quad_token(s: str) -> QuadRational:
 
 
 def format_quad_token(q: QuadRational) -> str:
-    """Compact inverse of parse_quad_token."""
-    if q.sqrt2 == 0:
-        return format_fraction(q.rat)
-    if q.sqrt2 == 1:
-        s2 = "s2"
-    elif q.sqrt2 == -1:
-        s2 = "-s2"
-    elif q.sqrt2 > 0:
-        s2 = f"{format_fraction(q.sqrt2)}s2"
-    else:
-        s2 = f"-{format_fraction(-q.sqrt2)}s2"
-    if q.rat == 0:
-        return s2
-    sign = "+" if q.sqrt2 > 0 else ""
-    return f"{format_fraction(q.rat)}{sign}{s2}"
+    """Compact inverse of parse_quad_token: ``str(q)``."""
+    return str(q)
 
 
 def quad_to_obj(q: QuadRational):

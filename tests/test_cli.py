@@ -91,6 +91,9 @@ class TestImportCost:
     def test_no_dataclasses_or_inspect(self, cli_imports):
         assert {"dataclasses", "inspect"}.isdisjoint(cli_imports["after"])
 
+    def test_no_typing_or_importlib_resources(self, cli_imports):
+        assert {"typing", "importlib.resources"}.isdisjoint(cli_imports["after"])
+
     def test_only_standard_library_modules(self, cli_imports):
         added = {m.split(".")[0] for m in set(cli_imports["after"]) - set(cli_imports["before"])}
         assert sorted(added - set(sys.stdlib_module_names) - {"kscolor"}) == []

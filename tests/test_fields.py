@@ -2,6 +2,8 @@
 and the Q(sqrt2) / Gaussian-rational field types."""
 
 import math
+import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -287,3 +289,166 @@ class TestComplexScalars:
             p, q = 2 * q - p, p - q
         ref = p + q * Fraction(math.isqrt(2 * 10**2000), 10**1000)
         assert QuadRational(p, q).to_float() == float(ref)
+
+
+
+def _frac(rng):
+    return Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+
+
+def _scalar(rng):
+    """An int or a Fraction, for the other side of an operation."""
+    return rng.randint(-9, 9) if rng.random() < 0.5 else _frac(rng)
+
+
+def _add(x, y):
+    return tuple(_add(a, b) for a, b in zip(x, y)) if isinstance(x, tuple) else x + y
+
+
+def _times(k, x):
+    return tuple(_times(k, a) for a in x) if isinstance(x, tuple) else k * x
+
+
+def _neg(x):
+    return _times(-1, x)
+
+
+def _pair_mul(x, y, square, mul):
+    """(a + bu)(c + du) = (ac + bd*u^2) + (ad + bc)u, on parts (a, b) and (c, d)."""
+    (a, b), (c, d) = x, y
+    return _add(mul(a, c), _times(square, mul(b, d))), _add(mul(a, d), mul(b, c))
+
+
+def _rat_mul(p, q):
+    return p * q
+
+
+def _quad_mul(x, y):
+    return _pair_mul(x, y, 2, _rat_mul)
+
+
+def _embed(k):
+    return Fraction(k), Fraction(0)
+
+
+# A scalar type beside its reference model: values as nested tuples of
+# Fractions, products by the plain formula.
+_Domain = namedtuple("_Domain", "make parts mul draw embed")
+_DOMAINS = {
+    "QuadRational": _Domain(
+        lambda p: QuadRational(*p), lambda v: (v.rat, v.sqrt2), _quad_mul,
+        lambda rng: (_frac(rng), _frac(rng)), _embed),
+    "GaussianRational": _Domain(
+        lambda p: GaussianRational(*p), lambda v: (v.re, v.im),
+        lambda x, y: _pair_mul(x, y, -1, _rat_mul),
+        lambda rng: (_frac(rng), _frac(rng)), _embed),
+    "QuadComplex": _Domain(
+        lambda p: QuadComplex(QuadRational(*p[0]), QuadRational(*p[1])),
+        lambda v: ((v.re.rat, v.re.sqrt2), (v.im.rat, v.im.sqrt2)),
+        lambda x, y: _pair_mul(x, y, -1, _quad_mul),
+        lambda rng: ((_frac(rng), _frac(rng)), (_frac(rng), _frac(rng))),
+        lambda k: (_embed(k), _embed(0))),
+}
+
+
+class TestScalarContract:
+    """The three two-part scalars against plain Fraction formulas, on seeded
+    draws, and the edges of their contract: embeddings, foreign types,
+    reprs and error messages."""
+
+    @pytest.mark.parametrize("name", sorted(_DOMAINS))
+    def test_ring_operations_match_the_formulas(self, name):
+        dom = _DOMAINS[name]
+        rng = random.Random(f"scalar-contract-{name}")
+        for _ in range(150):
+            x, y, k = dom.draw(rng), dom.draw(rng), _scalar(rng)
+            a, b, kk = dom.make(x), dom.make(y), dom.embed(k)
+            cases = [
+                (a + b, _add(x, y)), (a - b, _add(x, _neg(y))), (a * b, dom.mul(x, y)),
+                (-a, _neg(x)),
+                (a + k, _add(x, kk)), (k + a, _add(kk, x)),
+                (a - k, _add(x, _neg(kk))), (k - a, _add(kk, _neg(x))),
+                (a * k, dom.mul(x, kk)), (k * a, dom.mul(kk, x)),
+            ]
+            for got, want in cases:
+                assert type(got) is type(a)
+                assert dom.parts(got) == want
+            assert (a == b) == (x == y)
+            assert a.is_zero() == (not a) == (dom.make(x) == 0)
+
+    @pytest.mark.parametrize("name", sorted(_DOMAINS))
+    def test_embedded_scalars_equal_and_hash_alike(self, name):
+        dom = _DOMAINS[name]
+        rng = random.Random(f"scalar-embed-{name}")
+        for _ in range(100):
+            k = _scalar(rng)
+            v = dom.make(dom.embed(k))
+            assert v == k and k == v and hash(v) == hash(k)
+            assert v != k + 1 and hash(v) == hash(dom.make(dom.embed(k)))
+        assert hash(QuadRational(3)) == hash(3)
+
+    def test_quad_complex_equals_and_hashes_as_what_it_embeds(self):
+        rng = random.Random("scalar-embed-complex")
+        for _ in range(100):
+            q = QuadRational(_frac(rng), _frac(rng))
+            g = GaussianRational(_frac(rng), _frac(rng))
+            for inner, outer in ((q, QuadComplex(q)), (g, QuadComplex.from_gaussian(g))):
+                assert outer == inner and inner == outer and hash(outer) == hash(inner)
+            assert (QuadComplex(q) == QuadComplex(q, 1)) is False
+
+    def test_foreign_types(self):
+        q, g, c = QuadRational(1), GaussianRational(1), QuadComplex(1)
+        for v in (q, g, c):
+            assert v.__eq__("x") is NotImplemented
+            for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+                assert getattr(v, op)("x") is NotImplemented
+                assert getattr(v, op)(1.0) is NotImplemented
+        assert q.__eq__(g) is NotImplemented and g.__eq__(q) is NotImplemented
+        assert (q == g) is False
+        with pytest.raises(TypeError):
+            g * q
+        with pytest.raises(TypeError):
+            q + "x"
+        with pytest.raises(TypeError, match="cannot interpret str as QuadRational"):
+            q < "x"
+        with pytest.raises(TypeError):
+            q >= None
+
+    def test_no_division_or_ordering_beyond_each_type(self):
+        c, g = QuadComplex(1), GaussianRational(1)
+        assert not hasattr(c, "inverse")
+        with pytest.raises(TypeError):
+            c / c
+        assert not hasattr(GaussianRational, "__rtruediv__")
+        with pytest.raises(TypeError):
+            1 / g
+        with pytest.raises(TypeError):
+            g < g
+        assert 1 / QuadRational(0, 1) == QuadRational(0, Fraction(1, 2))
+
+    def test_literal_reprs(self):
+        q = QuadRational(Fraction(1, 3), -2)
+        assert repr(q) == "QuadRational(Fraction(1, 3), Fraction(-2, 1))"
+        assert repr(GaussianRational(Fraction(-1, 2), 5)) == (
+            "GaussianRational(Fraction(-1, 2), Fraction(5, 1))")
+        assert repr(QuadComplex(q)) == (
+            "QuadComplex(QuadRational(Fraction(1, 3), Fraction(-2, 1)), "
+            "QuadRational(Fraction(0, 1), Fraction(0, 1)))")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: QuadRational(math.inf), "rational part must be finite, got inf"),
+        (lambda: QuadRational(0, math.nan), "sqrt2 coefficient must be finite, got nan"),
+        (lambda: QuadRational("1/0"), "cannot parse rational part: '1/0'"),
+        (lambda: GaussianRational("x"), "cannot parse real part: 'x'"),
+        (lambda: GaussianRational(0, [1]), "imaginary part must be rational or float, got list"),
+        (lambda: QuadComplex(0, -math.inf), "rational part must be finite, got -inf"),
+    ])
+    def test_bad_part_messages(self, make, message):
+        with pytest.raises(InvalidInputError) as exc:
+            make()
+        assert str(exc.value) == message
+
+    def test_immutable_messages(self):
+        for v in (QuadRational(1), GaussianRational(1), QuadComplex(1)):
+            with pytest.raises(AttributeError, match=f"^{type(v).__name__} is immutable$"):
+                v.re = 0

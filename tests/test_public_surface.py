@@ -1,8 +1,8 @@
 """The public surface: every exported name resolves, every function the
 benchmark's span tracer wraps still exists, and the benchmark's own
 self-test passes, so a library change cannot break a benchmark run
-unnoticed.  Every exported value type survives copy and pickle, and the
-result records behave as values."""
+unnoticed.  Every exported value type survives copy and pickle and refuses
+assignment and deletion, and the result records behave as values."""
 
 import ast
 import copy
@@ -124,6 +124,51 @@ def test_result_records_behave_as_values():
         kscolor.ApproxResult(res.object, res.achieved_dist2, res.certificate, object=None)
 
 
+def _same(a, b) -> bool:
+    """Equality, read field by field for RaySet, which defines no ``==``."""
+    if isinstance(a, kscolor.RaySet):
+        return (a.rays, a.labels, a.dimension) == (b.rays, b.labels, b.dimension)
+    return a == b
+
+
+def _stored(value) -> list:
+    """The names of the attributes an instance stores: its slots and its
+    ``__dict__`` keys."""
+    slots = [n for c in type(value).__mro__ for n in c.__dict__.get("__slots__", ())]
+    return slots + list(getattr(value, "__dict__", {}))
+
+
+@pytest.mark.parametrize("value", _value_instances(), ids=lambda v: type(v).__name__)
+def test_value_types_refuse_deletion(value):
+    before = copy.deepcopy(value)
+    names = _stored(value)
+    assert names
+    for name in names:
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            delattr(value, name)
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, None)
+    assert _same(value, before)
+
+
+def test_only_record_module_guards_attributes():
+    """``__setattr__`` and ``__delattr__`` are defined in ``_record.py``
+    alone, so every value type is immutable the same way."""
+    src = Path(kscolor.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [(path.name, n) for n in names if n in ("__setattr__", "__delattr__")]
+    assert found == [("_record.py", "__setattr__"), ("_record.py", "__delattr__")]
+
+
 @pytest.mark.parametrize("copier", [
     copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v)),
 ], ids=["copy", "deepcopy", "pickle"])
@@ -131,7 +176,4 @@ def test_result_records_behave_as_values():
 def test_value_types_copy_and_pickle(value, copier):
     got = copier(value)
     assert type(got) is type(value)
-    if isinstance(value, kscolor.RaySet):
-        assert (got.rays, got.labels, got.dimension) == (value.rays, value.labels, value.dimension)
-    else:
-        assert got == value
+    assert _same(got, value)

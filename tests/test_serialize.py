@@ -106,6 +106,12 @@ class TestQuadTokens:
         q = QuadRational(a, b)
         assert parse_quad_token(format_quad_token(q)) == q
 
+    @given(fractions_st, st.sampled_from([0, 1, -1, 2, Fraction(-1, 3)]))
+    def test_str_is_the_token(self, a, b):
+        for q in (QuadRational(a, b), QuadRational(0, b)):
+            assert str(q) == format_quad_token(q)
+            assert parse_quad_token(str(q)) == q
+
 
 class TestScalarObjects:
     def test_quad_roundtrip(self):
