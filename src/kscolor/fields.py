@@ -27,8 +27,8 @@ from ._record import Frozen
 from .errors import InvalidInputError, ResourceLimitError
 
 INF = math.inf
-# floor(sqrt2 * 2^96) / 2^96, within 2^-96 of sqrt2.
-_SQRT2 = Fraction(math.isqrt(2 << 192), 1 << 96)
+# sqrt2 is about S/E = floor(sqrt2 * 2^96) / 2^96, within 2^-96.
+_S, _E = math.isqrt(2 << 192), 1 << 96
 
 
 def format_fraction(x: Fraction) -> str:
@@ -170,6 +170,22 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
             if cand.denominator % 3 != 0 and abs(cand - r) <= eps:
                 return cand
             n += 1
+
+
+def _quad_float(a: int, b: int, d: int) -> float:
+    """(a + b*sqrt2)/d rounded to binary64, for integers a, b and d > 0, to
+    about 96 bits before rounding: one correctly rounded integer division.
+
+    Parts of opposite sign go through (a^2 - 2b^2)/(a - b*sqrt2), whose
+    numerator is exact and whose denominator adds like-signed terms, so
+    nothing cancels; it is all integers, so large parts of a small value
+    never overflow.
+    """
+    if not b:
+        return a / d
+    if a and (a < 0) != (b < 0):
+        return (a * a - 2 * b * b) * _E / (d * (a * _E - b * _S))
+    return (a * _E + b * _S) / (d * _E)
 
 
 def _sqrt2_sign(a, b) -> int:
@@ -346,19 +362,9 @@ class QuadRational(_Pair):
         return -self if self.sign() < 0 else self
 
     def to_float(self) -> float:
-        """a + b*sqrt2 rounded to binary64, to about 96 bits before rounding.
-
-        Parts of opposite sign go through (a^2 - 2b^2)/(a - b*sqrt2), whose
-        numerator is exact and whose denominator adds like-signed terms, so
-        nothing cancels; all of it is rational, so large parts of a small
-        value never overflow.
-        """
-        a, b = self.rat, self.sqrt2
-        if not b:
-            return float(a)
-        if a and (a < 0) != (b < 0):
-            return float((a * a - 2 * b * b) / (a - b * _SQRT2))
-        return float(a + b * _SQRT2)
+        """a + b*sqrt2 rounded to binary64 by ``_quad_float``."""
+        (a, p), (b, q) = self.rat.as_integer_ratio(), self.sqrt2.as_integer_ratio()
+        return _quad_float(a * q, b * p, p * q)
 
     def __str__(self):
         """The compact token that ``serialize.parse_quad_token`` reads:

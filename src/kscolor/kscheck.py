@@ -5,16 +5,19 @@ Ray sets live over Q(sqrt2) + i*Q(sqrt2) so classic constructions with
 sqrt(2) coordinates stay exact.  A context is a maximal set of mutually
 orthogonal rays of size equal to the dimension; a coloring assigns 0/1 to
 rays so that no two orthogonal rays are both 1 and every context holds
-exactly one 1.  ``build_graph`` clears each ray once to integer
-coefficients, keeps the slots the set uses, tests each pair with up to four
-integer sums, stopping at the first nonzero one, and finds the contexts by
-clique extension over neighbor bitmasks.  ``find_ks_coloring`` decides
-colorability by backtracking with unit propagation; ``brute_force_coloring``
-is the independent cross-check for small instances.  ``perturb_to_suitable``
-replaces every context by a nearby exactly-suitable frame, showing how
-shared rays diverge into per-context copies: one pass at per-context
-lattice scales, then at most one deterministic repair of the contexts whose
-copies coincide, checked by canonical ray keys.
+exactly one 1.  A ``RaySet`` stores each ray only as integers: its 4n
+rational coefficients over one denominator in lowest terms, cleared once,
+when the set is parsed or constructed.  ``build_graph`` reads those
+integers on the slots the set uses, clearing nothing, tests each pair with
+up to four integer sums, stopping at the first nonzero one, and finds the
+contexts by clique extension over neighbor bitmasks.  ``find_ks_coloring``
+decides colorability by backtracking with unit propagation;
+``brute_force_coloring`` is the independent cross-check for small
+instances.  ``perturb_to_suitable`` replaces every context by a nearby
+exactly-suitable frame, showing how shared rays diverge into per-context
+copies: one pass at per-context lattice scales, then at most one
+deterministic repair of the contexts whose copies coincide, checked by
+canonical ray keys.
 """
 
 from __future__ import annotations
@@ -24,62 +27,118 @@ import math
 import os
 from collections import Counter
 from collections.abc import Sequence
+from fractions import Fraction
 from operator import mul
 
 from ._record import Frozen, Record
 from .coloring import TruthValue, truth_sum
 from .density import _frame_near, _scale, _validate_frame_target
 from .errors import InvalidInputError, ResourceLimitError
-from .fields import QuadComplex, QuadRational, _coerce_eps
-from .linalg import Frame, _cleared, _ray_key
-from .serialize import format_quad_token, parse_quad_token
+from .fields import QuadComplex, QuadRational, _coerce_eps, _quad_float
+from .linalg import Frame, _ray_key
+from .serialize import _quad_parts, format_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
+def _ray_form(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Coefficients given as (numerator, denominator > 0) pairs, as integers
+    x over one d > 0 with gcd(d, *x) = 1: the form unique to their values."""
+    d = math.lcm(*[q for _, q in ratios])
+    x = [p * (d // q) for p, q in ratios] if d > 1 else [p for p, _ in ratios]
+    g = math.gcd(d, *x)
+    return tuple([c // g for c in x]) if g > 1 else tuple(x), d // g
+
+
 class RaySet(Frozen):
-    """A labeled list of rays in one dimension, entries in Q(sqrt2)-complex."""
+    """A labeled list of rays in one dimension, entries in Q(sqrt2)-complex.
 
-    __slots__ = ("dimension", "rays", "labels")
+    ``cleared`` is the only stored form of the rays, one (x, d) per ray: its
+    4n coefficients (re.rat, re.sqrt2, im.rat, im.sqrt2 of each entry) as
+    integers x over one d > 0 with gcd(d, *x) = 1, unique to the ray's
+    entries.  ``rays`` is derived from it on each read; ``==`` and ``hash``
+    read the dimension, the forms and the labels.
+    """
 
-    def __init__(self, dimension: int, rays: Sequence, labels: Sequence[str] | None = None):
+    __slots__ = ("dimension", "cleared", "labels")
+
+    def __new__(cls, dimension: int, rays: Sequence, labels: Sequence[str] | None = None):
+        forms = (_ray_form([q.as_integer_ratio() for e in map(QuadComplex._coerce, ray)
+                            for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)])
+                 for ray in rays)
+        return cls._of(dimension, forms, labels)
+
+    @classmethod
+    def _of(cls, dimension: int, forms, labels: Sequence[str] | None = None) -> "RaySet":
+        """The ray set of cleared forms (x, d) as ``_ray_form`` makes them;
+        the one constructor."""
         if not isinstance(dimension, int) or dimension < 2:
             raise InvalidInputError("dimension must be an integer >= 2")
-        rs = tuple(tuple(QuadComplex._coerce(e) for e in ray) for ray in rays)
-        if not rs:
+        forms = tuple(forms)
+        if not forms:
             raise InvalidInputError("a ray set needs at least one ray")
-        for k, ray in enumerate(rs):
-            if len(ray) != dimension:
+        for k, (x, _) in enumerate(forms):
+            if len(x) != 4 * dimension:
                 raise InvalidInputError(f"ray {k} does not have {dimension} entries")
-            if all(e.is_zero() for e in ray):
+            if not any(x):
                 raise InvalidInputError(f"ray {k} is the zero vector")
         if labels is None:
-            labels = tuple(f"r{k}" for k in range(len(rs)))
+            labels = tuple(f"r{k}" for k in range(len(forms)))
         else:
             labels = tuple(str(x) for x in labels)
-            if len(labels) != len(rs):
+            if len(labels) != len(forms):
                 raise InvalidInputError("one label per ray is required")
             if len(set(labels)) != len(labels):
                 raise InvalidInputError("ray labels must be unique")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "rays", rs)
-        object.__setattr__(self, "labels", labels)
+        rs = object.__new__(cls)
+        object.__setattr__(rs, "dimension", dimension)
+        object.__setattr__(rs, "cleared", forms)
+        object.__setattr__(rs, "labels", labels)
+        return rs
+
+    @property
+    def rays(self) -> tuple:
+        """Each ray as a tuple of QuadComplex entries.  Entries stored
+        alike share one object, so each is built once per read."""
+        built = {}
+        out = []
+        for x, d in self.cleared:
+            ray = []
+            for k in range(0, len(x), 4):
+                key = (x[k : k + 4], d)
+                e = built.get(key)
+                if e is None:
+                    re, im = [QuadRational._of(Fraction(a, d), Fraction(b, d))
+                              for a, b in (x[k : k + 2], x[k + 2 : k + 4])]
+                    e = built[key] = QuadComplex._of(re, im)
+                ray.append(e)
+            out.append(tuple(ray))
+        return tuple(out)
 
     def __reduce__(self):
         return RaySet, (self.dimension, self.rays, self.labels)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dimension, self.cleared, self.labels) == (
+            other.dimension, other.cleared, other.labels)
+
+    def __hash__(self):
+        return hash((self.dimension, self.cleared, self.labels))
+
     def __len__(self):
-        return len(self.rays)
+        return len(self.cleared)
 
     def ray_floats(self, k: int) -> list[float]:
-        """The 2n interleaved real float coordinates of ray k."""
-        return [p.to_float() for e in self.rays[k] for p in (e.re, e.im)]
+        """The 2n interleaved real float coordinates of ray k, each as
+        ``QuadRational.to_float`` rounds it."""
+        x, d = self.cleared[k]
+        return [_quad_float(x[j], x[j + 1], d) for j in range(0, len(x), 2)]
 
     def is_rational(self) -> bool:
-        return all(
-            e.re.sqrt2 == 0 and e.im.sqrt2 == 0 for ray in self.rays for e in ray
-        )
+        return not any(any(x[1::2]) for x, _ in self.cleared)
 
 
 class OrthGraph(Record):
@@ -95,9 +154,9 @@ class OrthGraph(Record):
 
 
 def _orth_rows(x: Sequence[int], slots: Sequence[int], live: Sequence[int]) -> list:
-    """Rows ``live`` of four integer rows w on ``slots``: <u, v> = 0 iff
-    u . w = 0 for all four, for v cleared to ``x`` on ``slots`` and 0 off
-    them, and u any cleared ray 0 off them.
+    """Rows ``live`` of the four integer rows w of the ray v stored as
+    ``x``, read on ``slots``: for any ray u stored 0 off ``slots``,
+    <u, v> = 0 iff u . w = 0 for all four.
 
     Per entry, u = (a + b*s2) + i(c + d*s2) and v = (e + f*s2) + i(g + h*s2)
     give conj(u)*v = (ae + 2bf + cg + 2dh) + (af + be + ch + dg)*s2
@@ -107,30 +166,28 @@ def _orth_rows(x: Sequence[int], slots: Sequence[int], live: Sequence[int]) -> l
     r is 0 for every x when no s ^ r is in ``slots``, and need not be live.
     """
     factors = ((1, 2, 1, 2), (1, 1, 1, 1), (1, 2, -1, -2), (1, 1, -1, -1))
-    at = dict(zip(slots, x))
-    return [tuple([factors[r][s & 3] * at.get(s ^ r, 0) for s in slots]) for r in live]
+    return [tuple([factors[r][s & 3] * x[s ^ r] for s in slots]) for r in live]
 
 
 def build_graph(rs: RaySet) -> OrthGraph:
     """Adjacency by exact integer orthogonality tests; contexts by clique
     extension over neighbor bitmasks.
 
-    Each ray is cleared once to integers on only the slots some ray uses,
-    with only its ``_orth_rows`` nonzero there (one for a real rational
+    Each ray is read from its stored integers on only the slots some ray
+    uses, with only its ``_orth_rows`` nonzero there (one for a real rational
     set); a pair stops at its first nonzero sum.  Contexts grow
     from each ray by adding higher neighbors, lowest first, from one int of
     candidate bits, while enough candidates are left to reach size d; they
     come out in lexicographic order.
     """
     n, d = len(rs), rs.dimension
-    coeffs = [[q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]
-              for ray in rs.rays]
-    used = [s for s, col in enumerate(zip(*coeffs)) if any(col)]
-    # each ray's coefficients on the used slots, cleared: a positive
-    # multiple of the ray, as the other slots are 0 in every ray
-    xs = [_cleared([c[s] for s in used])[0] for c in coeffs]
+    forms = [x for x, _ in rs.cleared]
+    used = [s for s, col in enumerate(zip(*forms)) if any(col)]
+    # each ray's stored integers on the used slots: a positive multiple of
+    # the ray, as the other slots are 0 in every ray
+    xs = [[x[s] for s in used] for x in forms]
     live = [r for r in range(4) if any(s ^ r in used for s in used)]
-    rows = [[w for w in _orth_rows(x, used, live) if any(w)] for x in xs]
+    rows = [[w for w in _orth_rows(x, used, live) if any(w)] for x in forms]
     pairs, nbr = [], [[] for _ in range(n)]
     for i in range(n):
         xi = xs[i]
@@ -224,29 +281,26 @@ def find_ks_coloring(g: OrthGraph) -> dict[int, int] | None:
     with one undecided ray and no 1 forces that ray to 1, a context fully 0
     fails.  Branch order is most-constrained-ray first (most contexts, then
     highest degree, then lowest index), trying 1 before 0; the SAT/UNSAT
-    verdict does not depend on this order.
+    verdict does not depend on this order.  Memory grows with the depth
+    times the ray count, one pending state per decision.
     """
     ctx_count = Counter(itertools.chain.from_iterable(g.contexts))
-
-    def search(state: list) -> list | None:
+    # Depth-first over an explicit stack, so depth is not bounded by the
+    # recursion limit: a branch pushes its 0 child under its 1 child, and
+    # the 1 child's whole subtree pops before the 0 child.
+    stack = [[None] * g.num_rays]
+    while stack:
+        state = stack.pop()
         if not _propagate(g, state):
-            return None
+            continue
         free = [i for i in range(g.num_rays) if state[i] is None]
         if not free:
-            return state
+            return dict(enumerate(state))
         pick = max(free, key=lambda i: (ctx_count[i], len(g.neighbors[i]), -i))
-        for value in (1, 0):
-            child = state.copy()
-            child[pick] = value
-            result = search(child)
-            if result is not None:
-                return result
-        return None
-
-    solution = search([None] * g.num_rays)
-    if solution is None:
-        return None
-    return {i: solution[i] for i in range(g.num_rays)}
+        zero = state.copy()
+        zero[pick], state[pick] = 0, 1
+        stack += (zero, state)
+    return None
 
 
 def brute_force_coloring(g: OrthGraph) -> dict[int, int] | None:
@@ -375,17 +429,18 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
                                all_shared_diverge=True)
 
 
-def _parse_component(token: str, field: str) -> QuadComplex:
+def _component_ratios(token: str, field: str) -> list[tuple[int, int]]:
+    """The four coefficients of one entry token, as (numerator, denominator)."""
     parts = token.split(",")
     if len(parts) > 2:
         raise InvalidInputError(f"bad component {token!r}")
-    re = parse_quad_token(parts[0])
-    im = parse_quad_token(parts[1]) if len(parts) == 2 else QuadRational(0)
-    if field == "rational" and (re.sqrt2 != 0 or im.sqrt2 != 0):
+    p, q, r, t = _quad_parts(parts[0])
+    e, f, g, h = _quad_parts(parts[1]) if len(parts) == 2 else (0, 1, 0, 1)
+    if field == "rational" and (r or g):
         raise InvalidInputError(
             f"component {token!r} uses sqrt2 in a rational-field ray set"
         )
-    return QuadComplex(re, im)
+    return [(p, q), (r, t), (e, f), (g, h)]
 
 
 def _format_component(e: QuadComplex) -> str:
@@ -417,7 +472,7 @@ def load_rayset(text: str) -> RaySet:
     field = None
     want_contexts = None
     want_pairs = None
-    rays = []
+    forms = []
     labels = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -442,12 +497,12 @@ def load_rayset(text: str) -> RaySet:
             if len(parts) != 2 + dimension:
                 raise InvalidInputError(f"ray line has wrong arity: {ln!r}")
             labels.append(parts[1])
-            rays.append([_parse_component(tok, field) for tok in parts[2:]])
+            forms.append(_ray_form([c for tok in parts[2:] for c in _component_ratios(tok, field)]))
         else:
             raise InvalidInputError(f"unknown ray set directive {key!r}")
     if dimension is None or field is None:
         raise InvalidInputError("missing dimension or field header")
-    rs = RaySet(dimension, rays, labels)
+    rs = RaySet._of(dimension, forms, labels)
     if want_contexts is not None or want_pairs is not None:
         g = build_graph(rs)
         if want_contexts is not None and len(g.contexts) != want_contexts:

@@ -51,24 +51,34 @@ _QUAD_TOKEN = _re.compile(
 )
 
 
+def _quad_parts(s: str) -> tuple[int, int, int, int]:
+    """A compact token without surrounding space as the integers (p, q, r,
+    t) of p/q + (r/t)*sqrt2, with q, t > 0: the parse that
+    ``parse_quad_token`` and ray-set files share, with the errors of
+    ``parse_fraction``."""
+    m = _QUAD_TOKEN.match(s)
+    rat, s2 = m.group("rat", "s2") if m else (None, None)
+    if rat is None and s2 is None:
+        raise InvalidInputError(f"bad Q(sqrt2) token: {s!r}")
+    coef = s2[:-2] if s2 else "0"
+    out = []
+    for text in (rat or "0", coef + "1" if coef in ("", "+", "-") else coef):
+        num, _, den = text.partition("/")
+        try:
+            p, q = int(num), int(den or 1)
+        except ValueError:
+            p = q = 0
+        if not q:
+            raise InvalidInputError(f"not a rational: {text!r}")
+        out += (p, q)
+    return tuple(out)
+
+
 def parse_quad_token(s: str) -> QuadRational:
     """Parse compact tokens: '3', '-1/2', 's2', '-s2', '3/4s2', '1+s2',
     '1/2-1/3s2'."""
-    s = s.strip()
-    m = _QUAD_TOKEN.match(s)
-    if not m or (m.group("rat") is None and m.group("s2") is None):
-        raise InvalidInputError(f"bad Q(sqrt2) token: {s!r}")
-    rat = parse_fraction(m.group("rat")) if m.group("rat") else Fraction(0)
-    s2 = Fraction(0)
-    if m.group("s2"):
-        coef = m.group("s2")[:-2]
-        if coef in ("", "+"):
-            s2 = Fraction(1)
-        elif coef == "-":
-            s2 = Fraction(-1)
-        else:
-            s2 = parse_fraction(coef)
-    return QuadRational(rat, s2)
+    p, q, r, t = _quad_parts(s.strip())
+    return QuadRational(Fraction(p, q), Fraction(r, t))
 
 
 def format_quad_token(q: QuadRational) -> str:

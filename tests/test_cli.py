@@ -466,6 +466,26 @@ class TestRoundTrips:
         assert doc["result"] == "SAT"
         assert sorted(doc["assignment"].values()) == [0, 0, 1]
 
+    def test_ks_solve_deeper_than_the_recursion_limit(self, tmp_path):
+        """1,100 rays (1, k, 0), no two orthogonal: the search is 1,100
+        decisions deep.  A child process answers SAT and exits 0, in under
+        1 s on a 2-vCPU VM."""
+        rs = kscolor.RaySet(3, [[1, k, 0] for k in range(1, 1101)])
+        path = tmp_path / "deep.rays"
+        path.write_text(kscolor.dump_rayset(rs, with_checks=False))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from kscolor.cli import main; sys.exit(main())",
+             "ks-solve", str(path)],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["result"] == "SAT"
+        assert doc["assignment"] == {label: 1 for label in rs.labels}
+        assert elapsed < 30, f"{elapsed:.2f} s"
+
     def test_ks_perturb_small(self):
         code, out, _ = run_main(
             ["ks-perturb", "peres33", "--epsilon", "1/10000"]

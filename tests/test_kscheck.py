@@ -4,7 +4,9 @@ cross-check, and per-context suitable perturbation."""
 import itertools
 import math
 import operator
+import pickle
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from kscolor import kscheck
+from kscolor import kscheck, linalg, serialize
 from kscolor.coloring import TruthValue
 from kscolor.errors import InvalidInputError, ResourceLimitError
 from kscolor.fields import GaussianRational, QuadComplex, QuadRational
@@ -37,6 +39,7 @@ from kscolor.linalg import (
     ray_dist2,
     same_ray,
 )
+from kscolor.serialize import parse_fraction, parse_quad_token
 
 
 def rational_rayset(vectors, dimension, labels=None):
@@ -108,6 +111,90 @@ class TestRaySet:
         tampered = text.replace("pairs 108", "pairs 109")
         with pytest.raises(InvalidInputError):
             load_rayset(tampered)
+
+    def test_dump_of_load_is_the_text(self):
+        texts = [open(f"{kscheck._DATA}/{name}.rays", encoding="utf-8").read()
+                 for name in ("peres33", "peres24")]
+        texts.append(dump_rayset(zero_pm1(4)))
+        for text in texts:
+            assert dump_rayset(load_rayset(text)) == text
+
+    def test_compares_and_hashes_by_value(self):
+        a, b = load_builtin("peres33"), load_builtin("peres33")
+        assert a == b and hash(a) == hash(b)
+        for c in (RaySet(a.dimension, a.rays, a.labels), pickle.loads(pickle.dumps(a))):
+            assert c == a and hash(c) == hash(a)
+        rays = list(a.rays)
+        rays[1] = [e * 2 for e in rays[1]]  # the same ray, other entries
+        for other in (RaySet(3, a.rays), RaySet(3, rays, a.labels), load_builtin("peres24"),
+                      RaySet(3, a.rays[:-1], a.labels[:-1])):
+            assert other != a
+        assert a != a.rays and a != "peres33"
+
+    def test_form_is_lowest_terms_of_the_entries(self):
+        """One (x, d) per ray, with gcd(d, *x) = 1, whatever the input's
+        denominators, and read back to the same entries."""
+        rng = random.Random(5)
+        rays = [[QuadComplex(_random_quad(rng), _random_quad(rng)) for _ in range(3)]
+                for _ in range(30)]
+        rs = RaySet(3, rays)
+        assert rs.rays == tuple(map(tuple, rays))
+        for (x, d), ray in zip(rs.cleared, rays):
+            parts = [q for e in ray for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]
+            assert d > 0 and math.gcd(d, *x) == 1
+            assert [Fraction(c, d) for c in x] == parts
+        text = "rayset v1\ndimension 2\nfield quad2\nray a 2/4 6/8s2,-3/9\n"
+        assert load_rayset(text).cleared == (((6, 0, 0, 0, 0, 9, -4, 0), 12),)
+
+    def test_ray_floats_match_the_fraction_rule(self):
+        """``ray_floats`` and ``to_float`` give, bit for bit, the floats of
+        the rule they replace: binary64 of a + b*S/E, or of (a^2 - 2b^2) /
+        (a - b*S/E) for parts of opposite sign, on ``Fraction``s."""
+        rng = random.Random(64)
+
+        def part():
+            kind = rng.randrange(5)
+            if kind == 0:
+                return Fraction(0)
+            if kind == 1:  # huge
+                return Fraction(rng.randint(-2**200, 2**200), rng.choice([1, 3, 7]))
+            if kind == 2:  # tiny
+                return Fraction(rng.randint(-9, 9), 3 ** rng.randint(100, 200))
+            return Fraction(rng.randint(-99, 99), rng.choice([1, 2, 3, 9, 12, 27]))
+
+        def near_cancelling():
+            # (sqrt2 - 1)^k = p + q*sqrt2: opposite signs, huge parts, tiny value
+            p, q = 1, 0
+            for _ in range(rng.randint(1, 60)):
+                p, q = 2 * q - p, p - q
+            return QuadRational(Fraction(p, 3), Fraction(q, 3))
+
+        rays = [list(ray) for ray in load_builtin("peres33").rays]
+        for _ in range(200):
+            ray = [QuadComplex(QuadRational(part(), part()), near_cancelling()
+                               if rng.random() < 0.3 else QuadRational(part(), part()))
+                   for _ in range(3)]
+            if any(ray):
+                rays.append(ray)
+        rs = RaySet(3, rays)
+        for k, ray in enumerate(rs.rays):
+            parts = [p for e in ray for p in (e.re, e.im)]
+            want = [_reference_to_float(p).hex() for p in parts]
+            assert [f.hex() for f in rs.ray_floats(k)] == want
+            assert [p.to_float().hex() for p in parts] == want
+
+
+_SQRT2_REF = Fraction(math.isqrt(2 << 192), 1 << 96)
+
+
+def _reference_to_float(q):
+    """The binary64 rule of ``QuadRational.to_float`` on ``Fraction``s."""
+    a, b = q.rat, q.sqrt2
+    if not b:
+        return float(a)
+    if a and (a < 0) != (b < 0):
+        return float((a * a - 2 * b * b) / (a - b * _SQRT2_REF))
+    return float(a + b * _SQRT2_REF)
 
 
 class TestGraph:
@@ -329,6 +416,24 @@ class TestIntegerKernel:
             assert used == slots
             assert _graph(rs) == _reference_graph(rs)
 
+    @pytest.mark.parametrize("name", ["peres33", "peres24", "zero_pm1_4"])
+    def test_build_graph_clears_nothing(self, name, monkeypatch):
+        """The graph reads the stored integers: with the clearing helpers
+        and ``Fraction``'s ratio and zero test made to raise during the
+        call, it still returns the reference graph."""
+        rs = _NULL_SETS[name]
+        want = _reference_build_graph(rs)
+
+        def cleared(*args):
+            raise AssertionError("build_graph cleared a value")
+
+        with monkeypatch.context() as m:
+            for owner, attr in ((kscheck, "_ray_form"), (linalg, "_cleared"),
+                                (Fraction, "as_integer_ratio"), (Fraction, "__bool__")):
+                m.setattr(owner, attr, cleared)
+            got = _graph(rs)
+        assert got == want
+
     @pytest.mark.parametrize("part", ["1", "sqrt2", "i", "i*sqrt2"])
     def test_inner_product_in_one_part(self, part):
         """Pairs whose inner product is nonzero in exactly one of its four
@@ -398,6 +503,22 @@ class TestSolver:
         colorings = [find_ks_coloring(g) for g in graphs]
         assert colorings == [_reference_find_ks_coloring(g) for g in graphs]
         assert colorings[0] is None and sum(c is not None for c in colorings) > 20
+
+    @pytest.mark.parametrize("n, bound", [(1100, 20), (2000, 40)])
+    def test_search_deeper_than_the_recursion_limit(self, n, bound):
+        """(1, k, 0) for k = 1..n: no two rays are orthogonal, so every ray
+        is a decision and the search is n deep, past the recursion limit.
+        Graph and solve together take about 0.6 s for 1,100 rays and 2.5 s
+        for 2,000 on a 2-vCPU VM."""
+        assert n > sys.getrecursionlimit()
+        rs = RaySet(3, [[1, k, 0] for k in range(1, n + 1)])
+        start = time.perf_counter()
+        g = build_graph(rs)
+        coloring = find_ks_coloring(g)
+        elapsed = time.perf_counter() - start
+        assert (g.pairs, g.contexts) == ((), ())
+        assert coloring == dict.fromkeys(range(n), 1)
+        assert elapsed < bound, f"{elapsed:.2f} s for the graph and the solve"
 
     def test_unsat_stable_under_relabeling(self):
         rs = load_builtin("peres33")
@@ -678,6 +799,86 @@ class TestRayKey:
         key = _ray_key(u)
         assert key[:2] == (0, 0) and key[2] > 0 and key[3] == 0
         assert math.gcd(*key) == 1
+
+
+def _reference_quad_token(s):
+    """The token parse through ``Fraction`` text: the rule that the integer
+    parse replaces."""
+    s = s.strip()
+    m = serialize._QUAD_TOKEN.match(s)
+    if not m or (m.group("rat") is None and m.group("s2") is None):
+        raise InvalidInputError(f"bad Q(sqrt2) token: {s!r}")
+    rat = parse_fraction(m.group("rat")) if m.group("rat") else Fraction(0)
+    s2 = Fraction(0)
+    if m.group("s2"):
+        coef = m.group("s2")[:-2]
+        s2 = Fraction(1) if coef in ("", "+") else Fraction(-1) if coef == "-" else parse_fraction(coef)
+    return QuadRational(rat, s2)
+
+
+def _tokens(rng, count):
+    """Fixed tokens, then random ones glued from signs, digits (unicode and
+    over-long ones too), slashes, zero denominators, 's2' and junk."""
+    fixed = ["s2", "-s2", "+s2", "3/4s2", "1/2-1/3s2", "-7+2s2", "+0", "-0/5", "2/4",
+             "06/010s2", "1/0", "0/0s2", "1/0s2", "1+1/0s2", "s", "1/", "/2", "1//2",
+             "1.5", "1e3", "s2s2", "1+", "++s2", "", "-", "\u0663/\u0664s2", "9" * 5000]
+    pieces = ["", "+", "-", "0", "1", "3", "12", "007", "/", "/3", "/0", "s2", "s", "2",
+              "\u0663", ".", "e", "x", "_"]
+    drawn = ["".join(rng.choice(pieces) for _ in range(rng.randint(1, 5))) for _ in range(count)]
+    return fixed + drawn
+
+
+class TestIntegerTokenParse:
+    """``_quad_parts``, the integer parse shared by ``parse_quad_token`` and
+    ray-set files, against the ``Fraction`` parse it replaces: the same
+    values, and the same exception type and message for bad tokens."""
+
+    def test_agrees_with_fraction_parse(self):
+        ok = bad = 0
+        for tok in _tokens(random.Random(21), 3000):
+            try:
+                want = _reference_quad_token(tok)
+            except InvalidInputError as exc:
+                bad += 1
+                for parse in (serialize._quad_parts, parse_quad_token):
+                    with pytest.raises(type(exc)) as got:
+                        parse(tok)
+                    assert str(got.value) == str(exc)
+                continue
+            ok += 1
+            p, q, r, t = serialize._quad_parts(tok)
+            assert q > 0 and t > 0
+            assert QuadRational(Fraction(p, q), Fraction(r, t)) == want
+            assert parse_quad_token(tok) == want
+        assert ok > 300 and bad > 300
+
+    @pytest.mark.parametrize("field", ["rational", "quad2"])
+    def test_ray_files_agree_with_fraction_parse(self, field):
+        """Entry tokens 're' and 're,im' in ray-set files: the loaded entry
+        is the ``Fraction`` parse, or the load fails with its message, the
+        rational-field sqrt2 error included."""
+        rng = random.Random(field)
+        tokens = [tok for tok in _tokens(rng, 400) if tok]  # a file has no empty token
+        entries = tokens + [f"{rng.choice(tokens)},{rng.choice(tokens)}" for _ in range(800)]
+        entries += ["1,2,3", ",", "1,", ",1"]
+        ok = 0
+        for tok in entries:
+            text = f"rayset v1\ndimension 2\nfield {field}\nray a {tok} 1\n"
+            try:
+                parts = tok.split(",")
+                if len(parts) > 2:
+                    raise InvalidInputError(f"bad component {tok!r}")
+                re, im = [_reference_quad_token(p) for p in parts] + [QuadRational(0)] * (2 - len(parts))
+                if field == "rational" and (re.sqrt2 or im.sqrt2):
+                    raise InvalidInputError(f"component {tok!r} uses sqrt2 in a rational-field ray set")
+            except InvalidInputError as exc:
+                with pytest.raises(InvalidInputError) as got:
+                    load_rayset(text)
+                assert str(got.value) == str(exc)
+                continue
+            ok += 1
+            assert load_rayset(text).rays == ((QuadComplex(re, im), QuadComplex(1)),)
+        assert ok > 50
 
 
 _GOOD_TOKENS = ["0", "1", "-1", "1/2", "-3/4", "s2", "-s2", "1+s2",
