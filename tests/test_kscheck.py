@@ -9,6 +9,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -113,7 +114,7 @@ class TestRaySet:
             load_rayset(tampered)
 
     def test_dump_of_load_is_the_text(self):
-        texts = [open(f"{kscheck._DATA}/{name}.rays", encoding="utf-8").read()
+        texts = [Path(kscheck._DATA, f"{name}.rays").read_text(encoding="utf-8")
                  for name in ("peres33", "peres24")]
         texts.append(dump_rayset(zero_pm1(4)))
         for text in texts:
