@@ -1,5 +1,5 @@
-"""Immutable values: ``Frozen`` refuses change, and ``Record`` builds a
-value class from its field names."""
+"""Immutable values: ``Frozen`` refuses change, ``Record`` makes a value of
+named fields, and ``Items`` reads a record's one field as a sequence."""
 
 
 class Frozen:
@@ -16,19 +16,24 @@ class Frozen:
 
 
 class Record(Frozen):
-    """Base of the result records: a subclass lists its field names in
-    ``_fields`` and maps trailing ones to defaults in ``_defaults``.
-    Instances print, compare and hash by their fields as one tuple, cannot
-    change, and copy and pickle through ``__reduce__``.  ``__init__`` is
-    compiled once per subclass, as ``collections.namedtuple`` compiles its
-    ``__new__``, so arguments bind by Python's own rules.  Nothing here
-    reads ``__dict__``: in CPython that turns an instance's inline
-    attribute values into a dict, and every later attribute read slows."""
+    """Base of the result records and the checked value types: a subclass
+    names its constructor's arguments in ``_fields`` and maps trailing ones
+    to defaults in ``_defaults``.  Instances print, compare and hash by
+    their fields as one tuple, so a record hashes when its fields do, and
+    copy and pickle through the constructor.  A class with ``_fields`` and
+    no ``__init__`` or ``__new__`` of its own gets ``__init__`` compiled, as
+    ``collections.namedtuple`` compiles its ``__new__``, so arguments bind by
+    Python's own rules.  Nothing here reads an instance's ``__dict__``: in
+    CPython that turns its inline attribute values into a dict, and every
+    later attribute read slows."""
 
+    __slots__ = ()
     _fields: tuple = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__ or "__init__" in cls.__dict__ or "__new__" in cls.__dict__:
+            return
         params = ", ".join(f"{n}=_defaults[{n!r}]" if n in cls._defaults else n for n in cls._fields)
         stores = "".join(f"\n    _setattr(self, {n!r}, {n})" for n in cls._fields)
         namespace = {"_defaults": cls._defaults, "_setattr": object.__setattr__}
@@ -53,3 +58,18 @@ class Record(Frozen):
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Items(Record):
+    """A record whose ``len``, ``iter`` and ``[]`` read its one field."""
+
+    __slots__ = ()
+
+    def __len__(self):
+        return len(getattr(self, self._fields[0]))
+
+    def __iter__(self):
+        return iter(getattr(self, self._fields[0]))
+
+    def __getitem__(self, k):
+        return getattr(self, self._fields[0])[k]

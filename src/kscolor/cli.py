@@ -39,6 +39,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
+from .fields import _coerce_eps
 from .kscheck import (
     build_graph,
     find_ks_coloring,
@@ -342,6 +343,7 @@ def _cmd_ks_solve(args) -> dict:
 
 def _cmd_ks_perturb(args) -> dict:
     rs = _read_rayset(args.rayset)
+    epsilon = _frac_str(_coerce_eps(args.epsilon))  # refuses an unprintable eps up front
     rep = perturb_to_suitable(rs, args.epsilon)
     contexts = []
     for c in rep.contexts:
@@ -365,7 +367,7 @@ def _cmd_ks_perturb(args) -> dict:
         for d in rep.divergences
     ]
     return {
-        "epsilon": _frac_str(rep.epsilon),
+        "epsilon": epsilon,
         "contexts": contexts,
         "divergences": divergences,
         "all_suitable": rep.all_suitable,

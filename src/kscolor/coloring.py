@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from ._record import Frozen
+from ._record import Record
 from .errors import InvalidInputError, NotApplicableError
 from .fields import _v3_int, v3
 from .linalg import Frame, GMatrix, GVector, _matmul, inner_product, projector_of
@@ -110,7 +110,7 @@ def nonorthogonality_certificate(u: GVector, v: GVector) -> tuple[Fraction, int]
     return re, int(val)
 
 
-class ProjectionRep(Frozen):
+class ProjectionRep(Record):
     """Hermitian matrix M with M^2 = c*M for an exact rational c > 0.
 
     The matrix M/c is an orthogonal projector; M itself is the stored
@@ -123,6 +123,7 @@ class ProjectionRep(Frozen):
     """
 
     __slots__ = ("matrix", "idem_scale", "rank")
+    _fields = ("matrix",)
 
     def __init__(self, matrix: GMatrix):
         if not isinstance(matrix, GMatrix):
@@ -148,9 +149,6 @@ class ProjectionRep(Frozen):
         object.__setattr__(self, "idem_scale", cd / d)
         object.__setattr__(self, "rank", int(rank))
 
-    def __reduce__(self):
-        return ProjectionRep, (self.matrix,)
-
     def projector(self) -> GMatrix:
         """The idempotent projector M / c."""
         return self.matrix.scaled(1 / self.idem_scale)
@@ -158,11 +156,6 @@ class ProjectionRep(Frozen):
     @classmethod
     def from_ray(cls, v: GVector) -> "ProjectionRep":
         return cls(projector_of(v))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectionRep):
-            return NotImplemented
-        return self.matrix == other.matrix
 
     def __repr__(self):
         return f"ProjectionRep({self.matrix!r})"
@@ -188,6 +181,11 @@ def classify_projection_matrix(rep: ProjectionRep) -> TruthValue:
     other component x; equivalently a11's denominator carries strictly more
     powers of 3 than any other component's.  The test reads the cleared
     integers of the matrix, since their common denominator cancels.
+
+    Only a projector P of rank r = 1 (mod 3) can be TRUE.  The gap ignores
+    scale, so if P is TRUE, k = v3(P11) is below every other valuation.
+    Idempotency gives P11 = P11^2 + sum_{j>1} |P1j|^2, of valuation 2k, so
+    k = 0; mod 3 then P11 = P11^2 = 1, and r = trace P = P11 = 1.
     """
     if _a11_gap(rep.matrix) is None:
         return TruthValue.UNDETERMINED

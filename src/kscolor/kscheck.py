@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._record import Frozen, Record
+from ._record import Record
 from .coloring import TruthValue, truth_sum
 from .density import _frame_near, _scale, _validate_frame_target
 from .errors import InvalidInputError, ResourceLimitError
@@ -51,17 +51,18 @@ def _ray_form(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     return tuple([c // g for c in x]) if g > 1 else tuple(x), d // g
 
 
-class RaySet(Frozen):
+class RaySet(Record):
     """A labeled list of rays in one dimension, entries in Q(sqrt2)-complex.
 
     ``cleared`` is the only stored form of the rays, one (x, d) per ray: its
     4n coefficients (re.rat, re.sqrt2, im.rat, im.sqrt2 of each entry) as
     integers x over one d > 0 with gcd(d, *x) = 1, unique to the ray's
     entries.  ``rays`` is derived from it on each read; ``==`` and ``hash``
-    read the dimension, the forms and the labels.
+    read the dimension, the rays and the labels, so sets compare as forms.
     """
 
     __slots__ = ("dimension", "cleared", "labels")
+    _fields = ("dimension", "rays", "labels")
 
     def __new__(cls, dimension: int, rays: Sequence, labels: Sequence[str] | None = None):
         forms = (_ray_form([q.as_integer_ratio() for e in map(QuadComplex._coerce, ray)
@@ -115,18 +116,6 @@ class RaySet(Frozen):
                 ray.append(e)
             out.append(tuple(ray))
         return tuple(out)
-
-    def __reduce__(self):
-        return RaySet, (self.dimension, self.rays, self.labels)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.dimension, self.cleared, self.labels) == (
-            other.dimension, other.cleared, other.labels)
-
-    def __hash__(self):
-        return hash((self.dimension, self.cleared, self.labels))
 
     def __len__(self):
         return len(self.cleared)
@@ -343,6 +332,8 @@ class DivergenceEntry(Record):
 
 
 class NullificationReport(Record):
+    """``contexts`` and ``divergences`` are lists, so a report does not hash."""
+
     _fields = ("epsilon", "contexts", "divergences", "all_suitable", "all_shared_diverge")
 
 
@@ -412,7 +403,7 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     if redo:
         key = keys()
 
-    contexts = [PerturbedContext(ci, ctx, frame, values, truth_sum(frame), dist2)
+    contexts = [PerturbedContext(ci, ctx, frame, tuple(values), truth_sum(frame), dist2)
                 for ci, (ctx, (frame, values, dist2)) in enumerate(zip(g.contexts, results))]
     all_suitable = all(c.truth_total == 1 and c.values.count(TruthValue.TRUE) == 1
                        for c in contexts)

@@ -32,7 +32,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._record import Frozen
+from ._record import Frozen, Items
 from .errors import DegenerateInputError, InvalidInputError
 from .fields import (
     GaussianRational,
@@ -265,14 +265,14 @@ def ray_dist2(u: GVector, v: GVector) -> Fraction:
     return _ray_dist2(u.cleared[0], v.cleared[0])
 
 
-class Frame(Frozen):
+class Frame(Items):
     """An exactly orthogonal set of n nonzero vectors in C^n.
 
     Legs are kept unnormalized; orthogonality is verified exactly on
     construction.
     """
 
-    __slots__ = ("legs",)
+    __slots__ = _fields = ("legs",)
 
     def __init__(self, legs: Iterable[GVector]):
         legs = tuple(_as_vector(leg) for leg in legs)
@@ -293,26 +293,9 @@ class Frame(Frozen):
                     raise InvalidInputError(f"legs {i} and {j} are not orthogonal")
         object.__setattr__(self, "legs", legs)
 
-    def __reduce__(self):
-        return Frame, (self.legs,)
-
     @property
     def dimension(self) -> int:
         return len(self.legs)
-
-    def __len__(self):
-        return len(self.legs)
-
-    def __iter__(self):
-        return iter(self.legs)
-
-    def __getitem__(self, k):
-        return self.legs[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return self.legs == other.legs
 
     def __repr__(self):
         return f"Frame({list(self.legs)!r})"

@@ -32,7 +32,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from ._record import Frozen
+from ._record import Items, Record
 from .coloring import TruthValue
 from .errors import (
     DegenerateInputError,
@@ -44,10 +44,10 @@ from .fields import QuadRational, _coerce_eps, format_fraction, rationalize
 from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
 
 
-class PovmElement(Frozen):
+class PovmElement(Record):
     """A positive semidefinite QuadHermitian matrix, verified exactly."""
 
-    __slots__ = ("matrix",)
+    __slots__ = _fields = ("matrix",)
 
     def __init__(self, matrix: QuadHermitian):
         if not isinstance(matrix, QuadHermitian):
@@ -55,9 +55,6 @@ class PovmElement(Frozen):
         if not psd_check(matrix):
             raise InvalidInputError("POVM element is not positive semidefinite")
         object.__setattr__(self, "matrix", matrix)
-
-    def __reduce__(self):
-        return PovmElement, (self.matrix,)
 
     @property
     def n(self) -> int:
@@ -67,19 +64,14 @@ class PovmElement(Frozen):
         """The truth-relevant (1,1) entry; real by Hermiticity."""
         return self.matrix.entry(0, 0).re
 
-    def __eq__(self, other):
-        if not isinstance(other, PovmElement):
-            return NotImplemented
-        return self.matrix == other.matrix
-
     def __repr__(self):
         return f"PovmElement({self.matrix!r})"
 
 
-class PovmDecomposition(Frozen):
+class PovmDecomposition(Items):
     """A list of PovmElements summing exactly to the identity."""
 
-    __slots__ = ("elements",)
+    __slots__ = _fields = ("elements",)
 
     def __init__(self, elements: Sequence):
         elems = tuple(
@@ -94,26 +86,9 @@ class PovmDecomposition(Frozen):
             raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
 
-    def __reduce__(self):
-        return PovmDecomposition, (self.elements,)
-
     @property
     def n(self) -> int:
         return self.elements[0].n
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, k):
-        return self.elements[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, PovmDecomposition):
-            return NotImplemented
-        return self.elements == other.elements
 
     def __repr__(self):
         return f"PovmDecomposition({list(self.elements)!r})"

@@ -646,6 +646,28 @@ class TestByteStability:
         doc = json.loads(out)
         assert doc["all_shared_diverge"] is True and doc["all_suitable"] is True
 
+    @pytest.mark.parametrize("eps", ["1e-5000", "1e-20000"])
+    def test_ks_perturb_unprintable_epsilon_is_refused_first(self, eps):
+        """An eps whose denominator has more than 4300 digits cannot be
+        printed in the report, so it is refused before any frame is built."""
+        t0 = time.monotonic()
+        code, out, err = run_main(["ks-perturb", "peres24", "--epsilon", eps])
+        assert time.monotonic() - t0 < 5.0
+        assert (code, out) == (4, "")
+        assert json.loads(err)["type"] == "ResourceLimitError"
+
+    def test_ks_perturb_checks_epsilon_before_contexts(self, tmp_path):
+        """A set with no full context exits 2, unless eps is refused first:
+        a nonpositive eps with exit 2, an unprintable one with exit 4."""
+        path = tmp_path / "open.rays"
+        path.write_text("rayset v1\ndimension 3\nfield rational\nray a 1 0 0\n")
+        for eps, code, message in [("1e-4", 2, "no full context"),
+                                   ("1e-5000", 4, "too many digits"),
+                                   ("-1e-5000", 2, "eps must be positive")]:
+            got, out, err = run_main(["ks-perturb", str(path), f"--epsilon={eps}"])
+            assert (got, out) == (code, "")
+            assert message in json.loads(err)["error"]
+
     def test_make_suitable_povm_bytes_pinned(self):
         """Pins the lattice point, the corner transfer and the serialized
         form of a 3x3, four-element complex POVM; the digest was recorded

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kscolor.cli import _interleave, _rng_orthonormal
 from kscolor.coloring import (
     ProjectionRep,
     TruthValue,
@@ -19,9 +20,10 @@ from kscolor.coloring import (
     truth_sum,
     witness_shift,
 )
+from kscolor.density import suitable_frame_near
 from kscolor.errors import InvalidInputError, NotApplicableError
 from kscolor.fields import GaussianRational, v3
-from kscolor.linalg import Frame, GMatrix, GVector, gram_schmidt, inner_product
+from kscolor.linalg import Frame, GMatrix, GVector, gram_schmidt, inner_product, projector_of
 from kscolor.serialize import gaussian_to_obj, projection_rep_to_obj
 
 TRUE_RAY = GVector.from_reals(
@@ -334,6 +336,34 @@ class TestClassifyProjectionMatrix:
             checked += 1
             agree += 1
         assert agree == checked
+
+    def test_rank_obstruction(self):
+        """No exact rank-r projector is TRUE when r is not 1 mod 3, under any
+        positive rescaling (the proof is in classify_projection_matrix).
+        Projectors are sums of leg projectors of Gram-Schmidt frames and of
+        suitable frames, n = 2..5; some of rank 1 mod 3 are TRUE."""
+        rng = random.Random(20261020)
+        verdicts = {False: 0, True: 0}
+        for trial in range(40):
+            n = rng.randint(2, 5)
+            if trial % 2:
+                frame = gram_schmidt([rand_ray3(rng, n) for _ in range(n)])
+            else:
+                targets = [_interleave(v) for v in _rng_orthonormal(rng, n)]
+                frame = suitable_frame_near(targets, Fraction(1, 10 ** rng.randint(2, 6))).object
+            legs = [projector_of(leg) for leg in frame]
+            for mask in range(1, 2**n):
+                members = [p for k, p in enumerate(legs) if mask >> k & 1]
+                p = sum(members[1:], members[0])
+                for scale in (1, *(abs(rand_three_adic(rng, rng.randint(-3, 3))) for _ in range(3))):
+                    rep = ProjectionRep(p.scaled(scale))
+                    assert rep.rank == len(members)
+                    if classify_projection_matrix(rep) is TruthValue.TRUE:
+                        assert rep.rank % 3 == 1
+                        verdicts[True] += 1
+                    elif rep.rank % 3 == 1:
+                        verdicts[False] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestClassifyDecomposition:

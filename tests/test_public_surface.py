@@ -1,8 +1,9 @@
 """The public surface: every exported name resolves, every function the
 benchmark's span tracer wraps still exists, and the benchmark's own
 self-test passes, so a library change cannot break a benchmark run
-unnoticed.  Every exported value type survives copy and pickle and refuses
-assignment and deletion, and the result records behave as values."""
+unnoticed.  Every exported value type survives copy and pickle, hashes
+(but the nullification report, which holds lists) and refuses assignment
+and deletion, and the result records behave as values."""
 
 import ast
 import copy
@@ -56,9 +57,10 @@ def test_benchmark_selftest_passes():
 
 
 def _value_instances():
-    """One instance of every exported value class."""
+    """One instance of every exported value class, and a report's context."""
     g, q, c = kscolor.GaussianRational, kscolor.QuadRational, kscolor.QuadComplex
     half_s2 = c(q(0, Fraction(1, 2)))
+    report = kscolor.perturb_to_suitable(kscolor.load_builtin("peres33"), Fraction(1, 100))
     return [
         q(Fraction(1, 3), -2),
         g(Fraction(-1, 2), 5),
@@ -74,7 +76,8 @@ def _value_instances():
         kscolor.nearest_true_ray([0.6, 0.0, 0.8, 0.0], Fraction(1, 100)),
         kscolor.false_ray_near([0.6, 0.0, 0.8, 0.0, 0.1, 0.0], Fraction(1, 100)),
         kscolor.build_graph(kscolor.load_builtin("peres33")),
-        kscolor.perturb_to_suitable(kscolor.load_builtin("peres33"), Fraction(1, 100)),
+        report,
+        report.contexts[0],
     ]
 
 
@@ -144,22 +147,47 @@ def test_value_types_refuse_deletion(value):
     assert value == before
 
 
-def test_only_record_module_guards_attributes():
-    """``__setattr__`` and ``__delattr__`` are defined in ``_record.py``
-    alone, so every value type is immutable the same way."""
+def _definitions(wanted) -> list:
+    """(module file, enclosing top-level class or None, name) for each def
+    of, or assignment to, a name in ``wanted`` in the package source."""
     src = Path(kscolor.__file__).resolve().parent
     found = []
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            found += [(path.name, n) for n in names if n in ("__setattr__", "__delattr__")]
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.ClassDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [(path.name, owner, n) for n in names if n in wanted]
+    return found
+
+
+def test_slotted_value_types_have_no_dict():
+    """``Record`` adds no ``__dict__`` to a subclass that declares its slots."""
+    slotted = [v for v in _value_instances() if "__slots__" in type(v).__dict__]
+    assert len(slotted) == 11
+    assert [type(v).__name__ for v in slotted if hasattr(v, "__dict__")] == []
+
+
+def test_only_record_module_guards_attributes():
+    """``__setattr__`` and ``__delattr__`` are defined in ``_record.py``
+    alone, so every value type is immutable the same way."""
+    found = [(f, n) for f, _, n in _definitions(("__setattr__", "__delattr__"))]
     assert found == [("_record.py", "__setattr__"), ("_record.py", "__delattr__")]
+
+
+def test_only_value_bases_define_equality_hash_and_reduce():
+    """``__eq__``, ``__hash__`` and ``__reduce__`` come from ``Record``,
+    the two-part scalar base and the cleared-integer base alone, so every
+    other value type compares, hashes and pickles by its fields."""
+    found = {(f, c) for f, c, _ in _definitions(("__eq__", "__hash__", "__reduce__"))}
+    assert found == {("_record.py", "Record"), ("fields.py", "_Pair"),
+                     ("linalg.py", "_ClearedForm")}
 
 
 @pytest.mark.parametrize("copier", [
@@ -167,8 +195,16 @@ def test_only_record_module_guards_attributes():
 ], ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("value", _value_instances(), ids=lambda v: type(v).__name__)
 def test_value_types_copy_and_pickle(value, copier):
+    """Every value equals its copy and hashes equal to it, but the report,
+    whose ``contexts`` and ``divergences`` are lists: its other fields do."""
     got = copier(value)
     assert type(got) is type(value)
     assert got == value
-    if isinstance(value, kscolor.RaySet):
+    if not isinstance(value, kscolor.NullificationReport):
         assert hash(got) == hash(value)
+        return
+    with pytest.raises(TypeError):
+        hash(value)
+    for name in value._fields:
+        if name not in ("contexts", "divergences"):
+            assert hash(getattr(got, name)) == hash(getattr(value, name))
