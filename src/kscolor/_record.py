@@ -18,14 +18,14 @@ class Frozen:
 class Record(Frozen):
     """Base of the result records and the checked value types: a subclass
     names its constructor's arguments in ``_fields`` and maps trailing ones
-    to defaults in ``_defaults``.  Instances print, compare and hash by
-    their fields as one tuple, so a record hashes when its fields do, and
-    copy and pickle through the constructor.  A class with ``_fields`` and
-    no ``__init__`` or ``__new__`` of its own gets ``__init__`` compiled, as
-    ``collections.namedtuple`` compiles its ``__new__``, so arguments bind by
-    Python's own rules.  Nothing here reads an instance's ``__dict__``: in
-    CPython that turns its inline attribute values into a dict, and every
-    later attribute read slows."""
+    to defaults in ``_defaults``.  Instances print, copy and pickle by their
+    fields as one tuple, through the constructor, and compare and hash by
+    ``_key``: that tuple, or a stored form equal exactly when it is.  A
+    class with ``_fields`` and no ``__init__`` or ``__new__`` of its own gets
+    ``__init__`` compiled, as ``collections.namedtuple`` compiles its
+    ``__new__``, so arguments bind by Python's own rules.  Nothing here
+    reads an instance's ``__dict__``: in CPython that turns its inline
+    attribute values into a dict, and every later attribute read slows."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -48,13 +48,16 @@ class Record(Frozen):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
+    def _key(self) -> tuple:
+        return self._values()
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._key())
 
     def __reduce__(self):
         return type(self), self._values()

@@ -23,12 +23,12 @@ coordinates (m = 2n) by at most 3, so |x - M t|^2 < 9m, and as |M t| >= M
 the squared projector distance is below 18m/M^2.  Any M >= sqrt(18m)/eps
 therefore proves d^2 <= eps^2 for TRUE rays.
 
-Frames and FALSE rays round the remaining vectors to Gaussian integers at a
-finer scale and orthogonalize them against the TRUE leg with
-``gram_schmidt``, exactly, on cleared integers; a leg orthogonal to a TRUE
-leg is never TRUE.  The exact checks stay: a miss, possible only for frame
-targets that are not orthonormal to within eps, raises ResourceLimitError
-with the achieved distance.
+Frames round the other vectors to Gaussian integers at a finer scale and
+orthogonalize them against the TRUE leg with ``gram_schmidt``; FALSE rays
+get the same legs in closed form, each a projection |p|^2 c - <p, c> p.  A
+leg orthogonal to a TRUE leg is never TRUE.  The exact checks stay: a miss,
+possible only for frame targets that are not orthonormal to within eps,
+raises ResourceLimitError with the achieved distance.
 
 The pass-through test rationalizes the target's coordinates one at a time
 and stops at the first whose rationalization is not the coordinate itself
@@ -45,7 +45,7 @@ from ._record import Record
 from .coloring import TruthValue, classify_in_frame, classify_ray
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import _coerce_eps, format_fraction, rationalize
-from .linalg import Frame, GVector, _cleared, _ray_dist2, _round_div, gram_schmidt
+from .linalg import Frame, GVector, _cleared, _project_out, _ray_dist2, _round_div, gram_schmidt
 
 
 class ApproxResult(Record):
@@ -242,6 +242,13 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
     The target approximant sits at leg 2 of the witness; leg 1 carries the
     TRUE ray.  Leg 2 is exactly orthogonal to the TRUE leg, so it can never
     classify TRUE itself.
+
+    Both frames are Gram-Schmidt frames in closed form.  Completing the
+    rounded target y by standard vectors e_j, e_j's leg is e_j minus its
+    projection onto y with the earlier e_j's coordinates set to zero.  In the
+    witness of the TRUE point x, y and the later completion legs c, which
+    are orthogonal, each of y and the c has as leg itself minus its
+    projection onto p: x minus its projections onto those before it.
     """
     coords = _validate_real_target(target)
     eps = _coerce_eps(eps)
@@ -256,12 +263,20 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
     # overlap to keep the completion well conditioned.
     yx = y.cleared[0]
     skip = max(range(n), key=lambda j: yx[2 * j] ** 2 + yx[2 * j + 1] ** 2)
-    fillers = [
-        GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip
-    ]
-    completion = gram_schmidt([y] + fillers)
-    x = _true_point(completion[1].cleared[0], scale)
-    frame = gram_schmidt([x, y] + list(completion[2:]))
+    rest, completion = list(yx), []
+    for j in range(n):
+        if j != skip:
+            completion.append(_project_out(rest, [int(k == 2 * j) for k in range(2 * n)]))
+            rest[2 * j] = rest[2 * j + 1] = 0
+    x = _true_point(completion[0][0], scale)
+    legs, p = [x], x.cleared[0]
+    for c, d in [y.cleared] + completion[1:]:
+        leg, n2 = _project_out(p, c)
+        legs.append(GVector._of(leg, n2 * d))
+        p = _project_out(c, p)[0]
+        g = math.gcd(*p)
+        p = [e // g for e in p]
+    frame = Frame(legs)
     values = _true_leg_first(frame)
     d2 = _within(_dist2(frame[1], a), eps, "FALSE ray")
     return ApproxResult(frame[1], d2, values[1], witness=frame)

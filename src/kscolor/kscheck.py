@@ -58,7 +58,7 @@ class RaySet(Record):
     4n coefficients (re.rat, re.sqrt2, im.rat, im.sqrt2 of each entry) as
     integers x over one d > 0 with gcd(d, *x) = 1, unique to the ray's
     entries.  ``rays`` is derived from it on each read; ``==`` and ``hash``
-    read the dimension, the rays and the labels, so sets compare as forms.
+    read the dimension, ``cleared`` and the labels, so sets compare as forms.
     """
 
     __slots__ = ("dimension", "cleared", "labels")
@@ -116,6 +116,9 @@ class RaySet(Record):
                 ray.append(e)
             out.append(tuple(ray))
         return tuple(out)
+
+    def _key(self) -> tuple:
+        return self.dimension, self.cleared, self.labels
 
     def __len__(self):
         return len(self.cleared)

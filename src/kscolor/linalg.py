@@ -206,6 +206,18 @@ def _inner(x: Sequence[int], ix: Sequence[int], y: Sequence[int]) -> tuple[int, 
     return sum(map(mul, x, y)), sum(map(mul, ix, y))
 
 
+def _project_out(p: Sequence[int], c: Sequence[int]) -> tuple[list[int], int]:
+    """|p|^2 c - <p, c> p and |p|^2, for cleared vectors p != 0 and c: c
+    minus its projection onto p, times |p|^2, refused if 0 as by Gram-Schmidt."""
+    ip = _times_i(p)
+    re, im = _inner(p, ip, c)
+    n2 = sum(map(mul, p, p))
+    out = [n2 * a - re * b - im * e for a, b, e in zip(c, p, ip)]
+    if not any(out):
+        raise DegenerateInputError("input vectors are linearly dependent")
+    return out, n2
+
+
 def inner_product(u: GVector, v: GVector) -> GaussianRational:
     """Hermitian inner product, conjugate linear in the first argument."""
     if len(u) != len(v):
@@ -308,21 +320,16 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
     span of inputs 1..k.  Linearly dependent inputs raise
     DegenerateInputError.
 
-    Each input runs as integers w over one denominator d (its ``cleared``
-    form).  Against each earlier leg, kept as a
-    primitive integer vector u with N = |u|^2, the update is
-    w <- N*w - <u,w>*u and d <- N*d, which subtracts the projection onto u
-    exactly; <u,w>*u is re*u + im*(i*u).  A projection that is zero is
-    skipped.  After each other one, w and d are divided by the content
-    g = gcd(d, w_1, ..., w_2n), so w/d stays in lowest terms and d an
-    integer.  That bounds the heights: against the first k legs, w/d is the
-    input minus its projection onto the span of the first k inputs, whose
-    denominator divides the input's own times the Gram determinant of those
-    inputs cleared to integers, so d and w grow about linearly in k, like
-    the result.  Without the division d is the product of the k norms N,
-    each of them as tall as its leg, and the heights grow quadratically in
-    k.  The leg is w/d, and w over the gcd of its entries is the u that
-    later inputs are reduced against.
+    Each input runs as integers x over one denominator d (its ``cleared``
+    form), fraction-free.  With D_0 = 1 and D_j the Gram determinant of the
+    first j inputs' x, y <- (D_j y - <W_j, x> W_j) / D_{j-1} for each earlier
+    leg j, from y = x, makes y D_j times x minus its projection onto the
+    first j inputs; W_k is the last y, |W_k|^2 = D_{k-1} D_k, and leg k is
+    W_k / (D_{k-1} d).  Each entry of y is a determinant of integers
+    (Sylvester's identity), so the division is exact (Bareiss, Math. Comp.
+    22, 1968) and no gcd is taken; y and D_j are determinants of order j + 1
+    and j, so their heights grow linearly in k.  A zero projection
+    <W_j, x> = 0 only rescales, y <- D_j y / D_{j-1}.
     """
     vectors = [_as_vector(v) for v in vectors]
     if not vectors:
@@ -332,26 +339,24 @@ def gram_schmidt(vectors: Sequence[GVector]) -> Frame:
         raise InvalidInputError(
             f"gram_schmidt in dimension {dim} needs exactly {dim} vectors"
         )
-    done: list[tuple[list[int], list[int], int]] = []
+    done: list[tuple[list[int], list[int], int, int]] = []
     legs = []
+    det = 1  # D_{k-1}: the loop over ``done`` ends on it
     for v in vectors:
         if len(v) != dim:
             raise InvalidInputError("frame legs must share one ambient dimension")
-        w, d = v.cleared
-        for u, iu, n2 in done:
-            re, im = _inner(u, iu, w)
+        x, d = v.cleared
+        y = x
+        for w, iw, prev, det in done:
+            re, im = _inner(w, iw, x)
             if re or im:
-                w = [n2 * c - re * a - im * b for c, a, b in zip(w, u, iu)]
-                d *= n2
-                g = math.gcd(d, *w)
-                w = [c // g for c in w]
-                d //= g
-        if not any(w):
+                y = [(det * c - re * a - im * b) // prev for c, a, b in zip(y, w, iw)]
+            else:
+                y = [det * c // prev for c in y]
+        if not any(y):
             raise DegenerateInputError("input vectors are linearly dependent")
-        legs.append(GVector._of(w, d))
-        g = math.gcd(*w)
-        u = [c // g for c in w]
-        done.append((u, _times_i(u), sum(map(mul, u, u))))
+        legs.append(GVector._of(y, det * d))
+        done.append((y, _times_i(y), det, sum(map(mul, y, y)) // det))
     return Frame(legs)
 
 

@@ -23,9 +23,18 @@ from kscolor.density import (
     nearest_true_ray,
     suitable_frame_near,
 )
-from kscolor.errors import InvalidInputError
-from kscolor.fields import GaussianRational, v3
-from kscolor.linalg import Frame, GVector, _cleared, _round_div, inner_product, ray_dist2
+from kscolor.errors import DegenerateInputError, InvalidInputError
+from kscolor.fields import GaussianRational, _coerce_eps, v3
+from kscolor.linalg import (
+    Frame,
+    GVector,
+    _cleared,
+    _project_out,
+    _round_div,
+    gram_schmidt,
+    inner_product,
+    ray_dist2,
+)
 
 E1 = [1.0, 0, 0, 0, 0, 0]
 BASIS3 = [
@@ -194,6 +203,76 @@ class TestFalseRayNear:
             res = false_ray_near(target, eps)
             assert res.certificate is TruthValue.FALSE
             assert res.achieved_dist2 <= eps * eps
+
+
+def reference_false_ray_near(target, eps) -> ApproxResult:
+    """The route false_ray_near took before its closed forms: y completed by
+    standard vectors through one Gram-Schmidt, and the witness as a second
+    Gram-Schmidt of the TRUE point x, y and the rest of the completion."""
+    coords = density._validate_real_target(target)
+    eps = _coerce_eps(eps)
+    n = len(coords) // 2
+    scale = density._scale(eps, len(coords), 2)
+    a = _cleared(coords)[0]
+    y = _gaussian_point(a, scale)
+    yx = y.cleared[0]
+    skip = max(range(n), key=lambda j: yx[2 * j] ** 2 + yx[2 * j + 1] ** 2)
+    fillers = [GVector([int(k == j) for k in range(n)]) for j in range(n) if j != skip]
+    completion = gram_schmidt([y] + fillers)
+    x = _true_point(completion[1].cleared[0], scale)
+    frame = gram_schmidt([x, y] + list(completion[2:]))
+    values = density._true_leg_first(frame)
+    d2 = density._within(density._dist2(frame[1], a), eps, "FALSE ray")
+    return ApproxResult(frame[1], d2, values[1], witness=frame)
+
+
+def _false_ray_targets(rng, n):
+    """Axis-aligned targets (each axis, times 1, -1, i or -i), the same
+    targets moved by up to 1e-9 and by up to 1e-3, and two generic ones."""
+    targets = []
+    for j in range(n):
+        axis = [0.0] * (2 * n)
+        axis[2 * j : 2 * j + 2] = rng.choice(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)))
+        targets.append(axis)
+        for tilt in (1e-9, 1e-3):
+            targets.append([c + rng.uniform(-tilt, tilt) for c in axis])
+    targets += [[rng.uniform(-1, 1) for _ in range(2 * n)] for _ in range(2)]
+    return targets
+
+
+class TestFalseRayClosedForm:
+    """false_ray_near builds the completion and the witness in closed form;
+    they equal the two Gram-Schmidt runs they replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_two_gram_schmidt_route(self, n):
+        rng = random.Random(f"false-ray-{n}")
+        for target in _false_ray_targets(rng, n):
+            # 10**6 takes the lattice scale down to M = 1
+            for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(1, 10**6), Fraction(1, 10**12),
+                        Fraction(10**6)):
+                want = reference_false_ray_near(target, eps)
+                got = false_ray_near(target, eps)
+                assert got.object == want.object
+                assert got.witness == want.witness
+                assert got.certificate is want.certificate
+                assert got == want and repr(got) == repr(want)
+
+    def test_makes_no_gram_schmidt_call(self, monkeypatch):
+        def refuse(vectors):
+            raise AssertionError("false_ray_near called gram_schmidt")
+
+        targets = (E1, [0.3, -0.44, 0.12, 0.61, -0.25, 0.37])
+        want = [false_ray_near(t, Fraction(1, 10**6)) for t in targets]
+        monkeypatch.setattr(density, "gram_schmidt", refuse)
+        assert [false_ray_near(t, Fraction(1, 10**6)) for t in targets] == want
+        with pytest.raises(AssertionError, match="called gram_schmidt"):
+            suitable_frame_near(BASIS3, Fraction(1, 100))
+
+    def test_zero_leg_refused_as_gram_schmidt_refuses_it(self):
+        with pytest.raises(DegenerateInputError, match="linearly dependent"):
+            _project_out([1, 2, 0, -1], [-2, 1, 1, 0])  # i times the first
+        assert _project_out([1, 0, 0, 0], [1, 0, 1, 0]) == ([0, 0, 1, 0], 1)
 
 
 class TestExactCertificates:
@@ -388,6 +467,10 @@ class TestPassThroughEarlyExit:
 # 2-vCPU VM with CPython 3.11.7: frames 0.02-0.035 s (n = 16) and
 # 0.37-0.55 s (n = 32), FALSE rays 0.012-0.022 s and 0.08-0.15 s.  Without
 # the content removal the n = 32 frame takes 2.0-3.3 s there, past its bound.
+# The n = 64 digests were recorded before Gram-Schmidt divided exactly by
+# the Gram determinants and false_ray_near built its frames in closed form,
+# when the frame took 16.3 s and the FALSE ray 1.06 s; after, on the same
+# VM, they take 5.3-6.7 s and 0.10-0.13 s.
 HIGH_DIM_EPS = Fraction(1, 10**4)
 HIGH_DIM = {
     16: {
@@ -397,6 +480,10 @@ HIGH_DIM = {
     32: {
         "frame": ("851294b6ef2d5e7423da591921a046b8d3f43436cc3d41286dd0784fbf01d7a2", 1.5),
         "false": ("eb0be2576abc8dd1e0c1d8f410e94e674cd883f9ec69fd24fb58a3d47b83d08a", 0.75),
+    },
+    64: {
+        "frame": ("c04c76d1cfad819ef7654002e39f5be3488680f794c931adb11aaa2b4e476f1a", 21.0),
+        "false": ("ab2f8386720c6420da3b6ff293fe1b43f043d08c019fc811457b22008ecde00e", 0.5),
     },
 }
 

@@ -1,6 +1,7 @@
 """Ray sets, orthogonality graphs, the coloring solver and its brute-force
 cross-check, and per-context suitable perturbation."""
 
+import copy
 import itertools
 import math
 import operator
@@ -131,6 +132,24 @@ class TestRaySet:
                       RaySet(3, a.rays[:-1], a.labels[:-1])):
             assert other != a
         assert a != a.rays and a != "peres33"
+
+    def test_compares_and_hashes_without_deriving_rays(self, monkeypatch):
+        """``==`` and ``hash`` read the stored integers; copy and pickle
+        still rebuild through the constructor from the rays."""
+        a, b, other = load_builtin("peres33"), load_builtin("peres33"), load_builtin("peres24")
+
+        def refuse(self):
+            raise AssertionError("rays derived")
+
+        with monkeypatch.context() as m:
+            m.setattr(RaySet, "rays", property(refuse))
+            assert a == b and hash(a) == hash(b)
+            assert a != other and a != RaySet._of(3, a.cleared)
+            with pytest.raises(AssertionError, match="rays derived"):
+                copy.copy(a)
+        assert a.__reduce__() == (RaySet, (a.dimension, a.rays, a.labels))
+        for c in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert c is not a and c == a and hash(c) == hash(a)
 
     def test_form_is_lowest_terms_of_the_entries(self):
         """One (x, d) per ray, with gcd(d, *x) = 1, whatever the input's

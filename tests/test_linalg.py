@@ -141,6 +141,32 @@ def reference_gram_schmidt(vectors: list[GVector]) -> list[GVector]:
     return [GVector(w) for w in done]
 
 
+def reference_content_gram_schmidt(vectors: list[GVector]) -> list[tuple]:
+    """The cleared-integer Gram-Schmidt that the exact division replaced:
+    each update is divided by its content gcd(d, w).  Returns the legs'
+    cleared forms, stopping before the first dependent input."""
+    done, legs = [], []
+    for v in vectors:
+        w, d = v.cleared
+        for u, iu, n2 in done:
+            re = sum(a * c for a, c in zip(u, w))
+            im = sum(b * c for b, c in zip(iu, w))
+            if re or im:
+                w = [n2 * c - re * a - im * b for c, a, b in zip(w, u, iu)]
+                d *= n2
+                g = math.gcd(d, *w)
+                w = [c // g for c in w]
+                d //= g
+        if not any(w):
+            break
+        legs.append(GVector._of(w, d).cleared)
+        g = math.gcd(*w)
+        u = [c // g for c in w]
+        iu = [c for k in range(0, len(u), 2) for c in (-u[k + 1], u[k])]
+        done.append((u, iu, sum(c * c for c in u)))
+    return legs
+
+
 def reference_ray_dist2(u: GVector, v: GVector) -> Fraction:
     return 2 * (1 - Fraction(inner_product(u, v).abs2(), norm2(u) * norm2(v)))
 
@@ -861,6 +887,103 @@ class TestVectorKernelAgainstReference:
         )
         with pytest.raises(DegenerateInputError):
             gram_schmidt([u, v, w])
+
+
+def _vector_of_height(rng, n, bits):
+    """A vector whose parts are 0 a quarter of the time, else a random
+    numerator of the given bit length over a random denominator of it."""
+    def part():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(rng.getrandbits(bits) - 2 ** (bits - 1) or 1, rng.getrandbits(bits) | 1)
+    while True:
+        reals = [part() for _ in range(2 * n)]
+        if any(reals):
+            return GVector.from_reals(reals)
+
+
+def _orthogonal_inputs(rng, n):
+    """n exactly orthogonal vectors, each rescaled by a Gaussian rational and
+    shuffled: every projection in Gram-Schmidt is zero."""
+    legs = [leg.scaled(rand_scalar(rng)) for leg in gram_schmidt([rand_gvector(rng, n) for _ in range(n)])]
+    rng.shuffle(legs)
+    return legs
+
+
+class TestGramSchmidtAgainstContentReduction:
+    """gram_schmidt by exact division gives every leg the cleared form that
+    the content-reduced update gave, and refuses a dependent input at the
+    same position, with DegenerateInputError."""
+
+    @staticmethod
+    def _legs_built(monkeypatch, vectors):
+        """The cleared forms of the legs gram_schmidt builds before it
+        returns or raises, and the error it raised, if any."""
+        built = []
+        of = GVector._of.__func__
+
+        def spy(cls, x, d):
+            v = of(cls, x, d)
+            built.append(v.cleared)
+            return v
+
+        with monkeypatch.context() as m:
+            m.setattr(GVector, "_of", classmethod(spy))
+            try:
+                gram_schmidt(vectors)
+            except DegenerateInputError as exc:
+                return built, exc
+        return built, None
+
+    @pytest.mark.parametrize("kind", ["gaussian", "orthogonal", "mixed", "tall", "short"])
+    def test_legs_match_reference(self, kind, monkeypatch):
+        rng = random.Random(f"gram-schmidt-{kind}")
+        for n in range(2, 9):
+            for _ in range(6 if n <= 5 else 2):
+                if kind == "gaussian":
+                    vectors = [rand_gvector(rng, n) for _ in range(n)]
+                elif kind == "orthogonal":
+                    vectors = _orthogonal_inputs(rng, n)
+                elif kind == "mixed":
+                    # some projections zero, some not
+                    vectors = _orthogonal_inputs(rng, n)
+                    for k in rng.sample(range(n), n // 2):
+                        vectors[k] = rand_gvector(rng, n)
+                elif kind == "tall":
+                    vectors = [_vector_of_height(rng, n, 96) for _ in range(n)]
+                else:
+                    vectors = [_vector_of_height(rng, n, 2) for _ in range(n)]
+                want = reference_content_gram_schmidt(vectors)
+                built, exc = self._legs_built(monkeypatch, vectors)
+                assert built == want
+                assert (exc is None) == (len(want) == n)
+                if exc is None:
+                    assert [leg.cleared for leg in gram_schmidt(vectors)] == want
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dependent_inputs_refused_at_the_same_position(self, n, monkeypatch):
+        rng = random.Random(n)
+        v, w = rand_gvector(rng, n), rand_gvector(rng, n)
+        s = rand_scalar(rng)
+        cases = [[v, v.scaled(2), w], [v, w, GVector([a + b for a, b in zip(v, w)])],
+                 [v, w, GVector([a + s * b for a, b in zip(v, w)])]]
+        # a combination of the earlier inputs at a random later position
+        k = rng.randrange(1, n)
+        prefix = [rand_gvector(rng, n) for _ in range(k)]
+        combo = [GaussianRational(0)] * n
+        for u in prefix:
+            c = rand_scalar(rng)
+            combo = [a + c * b for a, b in zip(combo, u)]
+        if any(not e.is_zero() for e in combo):
+            cases.append(prefix + [GVector(combo)])
+        for case in cases:
+            vectors = (case + [rand_gvector(rng, n) for _ in range(n)])[:n]
+            want = reference_content_gram_schmidt(vectors)
+            if len(want) == n:  # n = 2 cuts [v, w, v + w] to [v, w]
+                continue
+            built, exc = self._legs_built(monkeypatch, vectors)
+            assert isinstance(exc, DegenerateInputError)
+            assert built == want
 
 
 # An exact frame whose entries are all nonzero, with legs 0 and 2 real and
