@@ -19,11 +19,14 @@ caller's binary64 entries, so targets that are Hermitian, PSD or sum to I
 only to the input tolerance can still miss: ResourceLimitError then
 carries the achieved distance.
 
-The construction runs on integers.  Every binary64 entry is an exact dyadic
-p/2^k, so the input PSD check, the rounding (ties to even) and the distance
-certificate work on integer numerators over 2^k and L*2^k, and each returned
-element is built from its lattice integers over L times the corner's
-denominator.  The exact sum to I is a sum of ``QuadHermitian`` integer forms.
+Every decision runs on integers.  Each binary64 entry is an exact dyadic
+p/2^k.  The input PSD check tries short integers first (``_float_psd_within``);
+theta, L, delta and the corners are integers; the rounding is ties to even;
+each d^2 is a pair (r, s) over one denominator (L*2^k*c)^2, c that of delta,
+so the worst d^2 and d^2 <= eps^2 are signs in Z[sqrt2], and a QuadRational
+d^2 is built only for a miss.  Each element is built from its lattice
+integers over L*c, and ``PovmDecomposition`` checks the sum to I on the
+elements' cleared integers over the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cmp_to_key
 
 from ._record import Items, Record
 from .coloring import TruthValue
@@ -40,7 +44,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .fields import QuadRational, _coerce_eps, format_fraction, rationalize
+from .fields import QuadRational, _coerce_eps, _sqrt2_sign, format_fraction, rationalize
 from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
 
 
@@ -69,7 +73,8 @@ class PovmElement(Record):
 
 
 class PovmDecomposition(Items):
-    """A list of PovmElements summing exactly to the identity."""
+    """A list of PovmElements summing exactly to the identity, checked on
+    their cleared integers."""
 
     __slots__ = _fields = ("elements",)
 
@@ -82,7 +87,11 @@ class PovmDecomposition(Items):
         n = elems[0].n
         if any(e.n != n for e in elems):
             raise InvalidInputError("decomposition elements must share one dimension")
-        if sum((e.matrix for e in elems[1:]), elems[0].matrix) != QuadHermitian.identity(n):
+        # Sum of x_k*(D/d_k) == D*I over D = lcm(d_k), on the cleared forms.
+        forms = [e.matrix.cleared for e in elems]
+        den = math.lcm(*[d for _, d in forms])
+        total = [sum(c) for c in zip(*[[a * (den // d) for a in x] for x, d in forms])]
+        if total != [den * (k % (4 * n + 4) == 0) for k in range(4 * n * n)]:
             raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
 
@@ -157,7 +166,7 @@ def classify_with_witness(
     # so it is not TRUE when delta >= mu.sqrt2.
     delta = rationalize(mu.to_float() / 3, 10 ** 6)
     if 0 < delta and mu.sqrt2 <= delta:
-        bump = _element([[(0, 0)] * n] * n, 1, delta)
+        bump = _element([[(0, 0)] * n] * n, 1, (delta.numerator, delta.denominator))
         third = complement - bump
         if psd_check(third):
             return TruthValue.FALSE, PovmDecomposition([a, bump, third])
@@ -217,24 +226,39 @@ def _dyadic(mats) -> tuple[list, int]:
 
 
 def _float_psd_within(rows: list[list[complex]], t: list, k: int, tol: float) -> bool:
-    """Exact PSD test of the exact Hermitian part (A + A*)/2 of the binary64
-    matrix ``rows``, given as ``_dyadic`` integer pairs t over 2**k, shifted
-    by 2*tol*scale on the diagonal, on integers over 2^(k+1) times the
-    shift's denominator."""
+    """Whether H + sI is PSD, for H the exact Hermitian part (A + A*)/2 of
+    the binary64 matrix ``rows`` (``_dyadic`` integer pairs t over 2**k) and
+    s = 2*tol*scale.
+
+    Short integers first, where H has more than b fractional bits.  Rounding
+    H to the nearest multiple of 2^-b moves each part of each entry by at
+    most 2^-(b+1), so the Hermitian error E has ||E||_2 <= ||E||_F <= n*2^-b
+    = delta, and 2^b > 2n/s makes delta < s/2.  If the rounded matrix plus
+    c*I, c = floor((s - delta)*2^b)/2^b, is PSD, then so is H + sI: it adds
+    E + (s - c)*I, whose eigenvalues are at least s - c - delta >= 0 by
+    Weyl's inequality.  That path can only prove PSD; otherwise the exact
+    test decides, on integers over 2^(k+1) times the denominator of s."""
     n = len(rows)
     scale = max(1.0, max(abs(e) for r in rows for e in r))
     sp, sq = (tol * scale * 2).as_integer_ratio()
-    w = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            (ar, ai), (br, bi) = t[i][j], t[j][i]
-            re = (ar + br) * sq
-            if i == j:
-                w[i][i] = (re + (sp << (k + 1)), 0, 0, 0)
-            else:
-                im = (ai - bi) * sq
-                w[i][j], w[j][i] = (re, 0, im, 0), (re, 0, -im, 0)
-    return _psd_cleared(w)
+    b = (2 * n * sq // sp).bit_length()
+    cut = k + 1 - b
+    h = [[(ar + br, ai - bi) for (ar, ai), (br, bi) in zip(row, col)]
+         for row, col in zip(t, zip(*t))]
+
+    def shifted(part, diag: int) -> bool:
+        return _psd_cleared([[(part(re) + diag * (i == j), 0, part(im), 0)
+                              for j, (re, im) in enumerate(row)] for i, row in enumerate(h)])
+
+    if cut > 0:
+        half = 1 << (cut - 1)
+
+        def near(v: int) -> int:  # half away from zero: odd, so the matrix stays Hermitian
+            return (v + half) >> cut if v >= 0 else -((half - v) >> cut)
+
+        if shifted(near, (sp << b) // sq - n):
+            return True
+    return shifted(lambda v: v * sq, sp << (k + 1))
 
 
 def _validate_povm_targets(targets) -> tuple[list, list, int]:
@@ -250,8 +274,9 @@ def _validate_povm_targets(targets) -> tuple[list, list, int]:
     # modulus is beyond binary64; no such target is near a POVM.
     try:
         for k, m in enumerate(mats):
+            # |a - conj(b)| = |b - conj(a)| exactly in binary64: i <= j suffices.
             for i in range(n):
-                for j in range(n):
+                for j in range(i, n):
                     if abs(m[i][j] - m[j][i].conjugate()) > 1e-8:
                         raise InvalidInputError(f"target {k} is not Hermitian to 1e-8")
             if not _float_psd_within(m, ints[k], bits, 1e-8):
@@ -279,14 +304,16 @@ def _try_exact_passthrough(targets) -> PovmDecomposition | None:
     return None
 
 
-def _lattice_point(t, theta: Fraction, m: int, scale: int, k: int):
+def _lattice_point(t, theta: tuple[int, int], m: int, scale: int, k: int):
     """Numerator pairs (re, im), over ``scale``, of the Gaussian-integer
     lattice point nearest (ties to even) to (1 - theta)*H + (theta/m)*I, for
-    H the exact Hermitian part of ``t``, integer pairs over 2**k."""
+    H the exact Hermitian part of ``t``, integer pairs over 2**k, and theta
+    given as (numerator, denominator)."""
     n = len(t)
-    den = theta.denominator * m << (k + 1)
-    weight = scale * (theta.denominator - theta.numerator) * m
-    shift = scale * theta.numerator << (k + 1)
+    tn, td = theta
+    den = td * m << (k + 1)
+    weight = scale * (td - tn) * m
+    shift = scale * tn << (k + 1)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -297,28 +324,30 @@ def _lattice_point(t, theta: Fraction, m: int, scale: int, k: int):
     return out
 
 
-def _element(point, scale: int, corner: Fraction) -> QuadHermitian:
-    """``point``/scale (integer pairs (re, im)) plus corner*sqrt2 at (1,1)."""
-    den = corner.denominator
-    x = [c * den for row in point for re, im in row for c in (re, 0, im, 0)]
-    x[1] = corner.numerator * scale
-    return QuadHermitian._of(x, scale * den)
+def _element(point, scale: int, corner: tuple[int, int]) -> QuadHermitian:
+    """``point``/scale (integer pairs (re, im)) plus corner*sqrt2 at (1,1),
+    for the corner given as (numerator, denominator > 0)."""
+    cn, cd = corner
+    x = [c * cd for row in point for re, im in row for c in (re, 0, im, 0)]
+    x[1] = cn * scale
+    return QuadHermitian._of(x, scale * cd)
 
 
-def _dist2(point, scale: int, corner: Fraction, t, k: int) -> QuadRational:
-    """Exact squared Frobenius distance from the element ``point``/scale,
-    plus corner*sqrt2 at (1,1), to the binary64 matrix ``t`` (integer pairs
-    over 2**k): one integer sum of squares over (scale*2^k)^2, and the
-    corner in closed form, (a + c*sqrt2)^2 = a^2 + 2c^2 + 2ac*sqrt2."""
+def _dist2(point, scale: int, corner: tuple[int, int], t, k: int) -> tuple[int, int]:
+    """Exact squared Frobenius distance from ``_element(point, scale,
+    corner)`` to the binary64 matrix ``t`` (integer pairs over 2**k), as
+    integers (r, s) with d^2 = (r + s*sqrt2)/(scale*2^k*cd)^2: one integer
+    sum of squares, and the corner in closed form, (a + c*sqrt2)^2 = a^2 +
+    2c^2 + 2ac*sqrt2."""
+    cn, cd = corner
     acc = 0
     for prow, trow in zip(point, t):
         for (x, y), (fr, fi) in zip(prow, trow):
             dr, di = (x << k) - fr * scale, (y << k) - fi * scale
             acc += dr * dr + di * di
     den = scale << k
-    a = Fraction((point[0][0][0] << k) - t[0][0][0] * scale, den)
-    return QuadRational(Fraction(acc, den * den) + 2 * corner * corner,
-                        2 * corner * a)
+    a = (point[0][0][0] << k) - t[0][0][0] * scale
+    return acc * cd * cd + 2 * cn * cn * den * den, 2 * cn * a * den * cd
 
 
 def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposition:
@@ -366,9 +395,13 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
                       for i in range(n) for j in range(n)))
         for t in mats
     )
-    theta = min(Fraction(1, 4), eps / Fraction(rationalize(4 * (dev + 1), 100)))
-    scale = math.ceil(4 * m * n * max(m / theta, 1 / eps))
-    points = [_lattice_point(t, theta, m, scale, bits) for t in ints[:-1]]
+    # theta = tn/td = min(1/4, eps/r) and delta = theta/(8m) = tn/cd, on integers.
+    (en, ed), r = (eps.numerator, eps.denominator), rationalize(4 * (dev + 1), 100)
+    tn, td = en * r.denominator, ed * r.numerator
+    if 4 * tn > td:
+        tn, td = 1, 4
+    scale = -(-4 * m * n * max(m * td * en, ed * tn) // (tn * en))
+    points = [_lattice_point(t, (tn, td), m, scale, bits) for t in ints[:-1]]
     # The last element is I minus the others, so the sum is exact.
     points.append([
         [(scale * (i == j) - sum(p[i][j][0] for p in points),
@@ -394,32 +427,35 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
         split = True
         donor = recipient
 
-    delta = theta / (8 * m)
-    corners = [Fraction(0)] * m
-    corners[donor] -= delta
-    if not split:
-        corners[recipient] += delta
-    dists = [_dist2(p, scale, c, t, bits) for p, c, t in zip(points, corners, ints)]
+    cd = 8 * m * td
+    corners = [0] * m
+    corners[donor] -= tn
     if split:
-        # The appended delta*sqrt2*E11 element, against a zero target.
-        dists.append(QuadRational(2 * delta * delta))
-    worst = max(dists)
-    if worst > eps * eps:
+        # A fresh delta*sqrt2*E11 element, measured against a zero target.
+        zero = [[(0, 0)] * n] * n
+        points, ints, corners = [*points, zero], [*ints, zero], [*corners, tn]
+    else:
+        corners[recipient] += tn
+    # Every d^2 is (r + s*sqrt2)/den over one den, so signs in Z[sqrt2] decide.
+    dists = [_dist2(p, scale, (c, cd), t, bits) for p, c, t in zip(points, corners, ints)]
+    worst = max(dists, key=cmp_to_key(lambda u, v: _sqrt2_sign(u[0] - v[0], u[1] - v[1])))
+    den = ((scale << bits) * cd) ** 2
+    if _sqrt2_sign(en * en * den - worst[0] * ed * ed, -worst[1] * ed * ed) < 0:
+        text = format_fraction(eps)  # first, so an unprintable eps costs no gcd
+        d2 = QuadRational(Fraction(worst[0], den), Fraction(worst[1], den))
         raise ResourceLimitError(
-            f"no suitable decomposition within eps={format_fraction(eps)}: "
-            f"the lattice point lies at d^2={format_fraction(worst)}",
-            achieved_dist2=worst,
+            f"no suitable decomposition within eps={text}: "
+            f"the lattice point lies at d^2={format_fraction(d2)}",
+            achieved_dist2=d2,
         )
-    work = [_element(p, scale, c) for p, c in zip(points, corners)]
-    if split:
-        work.append(_element([[(0, 0)] * n] * n, 1, delta))
+    work = [_element(p, scale, (c, cd)) for p, c in zip(points, corners)]
     try:
         dec = PovmDecomposition(work)
     except InvalidInputError as exc:
         raise ResourceLimitError(
             f"no suitable decomposition within eps={format_fraction(eps)}: the "
             f"targets are not PSD (or do not sum to I) within the margin theta/m",
-            achieved_dist2=worst,
+            achieved_dist2=QuadRational(Fraction(worst[0], den), Fraction(worst[1], den)),
         ) from exc
     if not is_suitable(dec):
         raise AssertionError("the lattice decomposition failed suitability")

@@ -22,6 +22,14 @@ TRUE_RAY_ARG = "[1/3,1/2,1/2,1/2,1/2,1/2]"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
+# A 3x3, four-element complex POVM whose binary64 entries sum to I only to
+# rounding.
+POVM3 = ("[[[0.4,0.1,[0,0.05]],[0.1,0.2,0],[[0,-0.05],0,0.1]],"
+         "[[0.3,-0.1,0],[-0.1,0.3,[0,0.1]],[0,[0,-0.1],0.2]],"
+         "[[0.2,0,[0,-0.05]],[0,0.25,[0,-0.1]],[[0,0.05],[0,0.1],0.3]],"
+         "[[0.1,0,0],[0,0.25,0],[0,0,0.4]]]")
+
+
 def run_main(argv, stdin=None):
     """Invoke cli.main in-process; returns (exit_code, stdout, stderr)."""
     old_in = sys.stdin
@@ -317,6 +325,18 @@ class TestExitCodes:
         code, out, err = run_main(argv)
         assert code == 4
         assert out == ""
+        assert json.loads(err)["type"] == "ResourceLimitError"
+
+    @pytest.mark.parametrize("eps", ["1e-4000", "1e-20000", "1e-99999"])
+    def test_make_suitable_povm_unprintable_result_in_bounded_time(self, eps):
+        """The lattice point misses by the targets' rounding, so the error
+        prints eps and d^2; where either has more than 4300 digits it exits 4,
+        and the integer distance certificate takes no gcd of that size.  The
+        bound is 3x the slowest run measured at 1e-99999."""
+        t0 = time.monotonic()
+        code, out, err = run_main(["make-suitable-povm", POVM3, "--epsilon", eps])
+        assert time.monotonic() - t0 < 15.0
+        assert (code, out) == (4, "")
         assert json.loads(err)["type"] == "ResourceLimitError"
 
     def test_huge_decimal_exponent_is_refused_quickly(self):
@@ -672,11 +692,7 @@ class TestByteStability:
         """Pins the lattice point, the corner transfer and the serialized
         form of a 3x3, four-element complex POVM; the digest was recorded
         with the Fraction-matrix construction this output must match."""
-        povm = ("[[[0.4,0.1,[0,0.05]],[0.1,0.2,0],[[0,-0.05],0,0.1]],"
-                "[[0.3,-0.1,0],[-0.1,0.3,[0,0.1]],[0,[0,-0.1],0.2]],"
-                "[[0.2,0,[0,-0.05]],[0,0.25,[0,-0.1]],[[0,0.05],[0,0.1],0.3]],"
-                "[[0.1,0,0],[0,0.25,0],[0,0,0.4]]]")
-        code, out, _ = run_main(["make-suitable-povm", povm, "--epsilon", "1e-4"])
+        code, out, _ = run_main(["make-suitable-povm", POVM3, "--epsilon", "1e-4"])
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
             "baee41529b57919dd1d01856b1fb188ed4527c24db8e9b29293573c4f22bca06"

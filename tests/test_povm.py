@@ -1,13 +1,18 @@
 """POVM coloring: sqrt2-sign trueness, suitability, witnessed falseness,
 and perturbation of float targets into exactly suitable decompositions."""
 
+import hashlib
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from kscolor import povm
+from kscolor.cli import _rng_orthonormal
 from kscolor.coloring import TruthValue
 from kscolor.errors import (
     DegenerateInputError,
@@ -15,7 +20,7 @@ from kscolor.errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from kscolor.fields import QuadComplex, QuadRational
+from kscolor.fields import QuadComplex, QuadRational, rationalize
 from kscolor.linalg import QuadHermitian, frob_dist2, psd_check
 from kscolor.povm import (
     PovmDecomposition,
@@ -23,6 +28,7 @@ from kscolor.povm import (
     _dist2,
     _dyadic,
     _element,
+    _float_psd_within,
     classify_element,
     classify_with_witness,
     is_suitable,
@@ -172,8 +178,17 @@ def _nudged(m: QuadHermitian, i: int, j: int, part: str, unit: Fraction):
     return QuadHermitian(rows)
 
 
+# The smallest step the integer sum check sees: one unit over the lcm D of
+# the three elements' denominators, which all differ.
+_DENS = [e.cleared[1] for e in _THREE]
+_UNIT = Fraction(1, math.lcm(*_DENS))
+
+
 class TestDecompositionSum:
     """The exact sum to I is checked on each of the four components."""
+
+    def test_denominators_differ(self):
+        assert len(set(_DENS)) == 3
 
     @pytest.mark.parametrize("part", _PARTS)
     @pytest.mark.parametrize("i,j", [(0, 0), (1, 1), (0, 1), (1, 0)])
@@ -190,10 +205,49 @@ class TestDecompositionSum:
         with pytest.raises(InvalidInputError, match="sum exactly"):
             PovmDecomposition(elems)
 
+    def test_one_lcm_unit_off_is_rejected(self):
+        """A sum off by 1/D in any coefficient slot, on a diagonal or an
+        off-diagonal entry of any element, is one unit of the integer total."""
+        for k in range(3):
+            for part in _PARTS:
+                for i, j in [(0, 0), (1, 1), (0, 1)] if part.startswith("re") else [(0, 1)]:
+                    elems = list(_THREE)
+                    elems[k] = _nudged(elems[k], i, j, part, _UNIT)
+                    with pytest.raises(InvalidInputError, match="sum exactly"):
+                        PovmDecomposition(elems)
+
     def test_reordered_decomposition_is_accepted(self):
         for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
             d = PovmDecomposition([_THREE[k] for k in order])
             assert [e.matrix for e in d] == [_THREE[k] for k in order]
+
+    def test_every_witness_is_accepted(self):
+        """Seeded elements a*P + b*I (P a Gaussian-integer projector, a in
+        Q(sqrt2)): each FALSE witness sums to I by QuadHermitian addition,
+        and PovmDecomposition accepts it again, in any order."""
+        rng = random.Random(20261020)
+        sizes = set()
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            v = [complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(n)]
+            v[0] = v[0] or 1
+            nv = int(sum(abs(z) ** 2 for z in v))
+            a = QuadRational(Fraction(rng.randint(30, 40), 100),
+                             Fraction(rng.randint(-12, 3), rng.randint(90, 110)))
+            b = Fraction(rng.randint(1, 25), rng.randint(50, 100))
+            rows = [[QuadComplex(a * Fraction(int((v[i] * v[j].conjugate()).real), nv)
+                                 + (b if i == j else 0),
+                                 a * Fraction(int((v[i] * v[j].conjugate()).imag), nv))
+                     for j in range(n)] for i in range(n)]
+            value, witness = classify_with_witness(QuadHermitian(rows))
+            if witness is None:
+                continue
+            assert value is TruthValue.FALSE
+            mats = [e.matrix for e in witness]
+            assert sum(mats[1:], mats[0]) == QuadHermitian.identity(n)
+            assert PovmDecomposition(mats[::-1]).elements == witness.elements[::-1]
+            sizes.add(len({m.cleared[1] for m in mats}))
+        assert 3 in sizes  # witnesses whose three denominators all differ
 
 
 class TestClassifyWithWitness:
@@ -369,6 +423,50 @@ def _element_ref(point, scale, corner):
     return QuadHermitian(rows)
 
 
+def _as_quad(d2, point_scale, bits, cd):
+    """The integer certificate (r, s) of ``_dist2`` as the exact d^2."""
+    den = ((point_scale << bits) * cd) ** 2
+    return QuadRational(Fraction(d2[0], den), Fraction(d2[1], den))
+
+
+def reference_worst(targets, eps, allow_split=False):
+    """Test-only reference: the Fraction construction of make_suitable_near
+    (theta, L, lattice points, corner transfer), up to its worst d^2, each
+    measured by reference_dist2 on Fraction entries."""
+    m, n = len(targets), len(targets[0])
+    dev = max(math.sqrt(sum(abs(t[i][j] - (i == j) / m) ** 2 for i in range(n)
+                            for j in range(n))) for t in targets)
+    theta = min(Fraction(1, 4), eps / rationalize(4 * (dev + 1), 100))
+    scale = math.ceil(4 * m * n * max(m / theta, 1 / eps))
+    points = []
+    for t in targets[:-1]:
+        point = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                h = (Fraction(t[i][j].real) + Fraction(t[j][i].real)) / 2
+                hi = (Fraction(t[i][j].imag) - Fraction(t[j][i].imag)) / 2
+                x = round(((1 - theta) * h + theta / m * (i == j)) * scale)
+                point[i][j] = (x, round((1 - theta) * hi * scale))
+        points.append(point)
+    points.append([[(scale * (i == j) - sum(p[i][j][0] for p in points),
+                     -sum(p[i][j][1] for p in points)) for j in range(n)] for i in range(n)])
+    a11s = [p[0][0][0] for p in points]
+    order = sorted(range(m), key=lambda k: (-a11s[k], k))
+    donor = next((k for k in order[1:] if a11s[k] > 0), None)
+    delta = theta / (8 * m)
+    corners = [Fraction(0)] * m
+    if donor is None:
+        assert allow_split
+        corners[order[0]] = -delta
+    else:
+        corners[order[0]], corners[donor] = delta, -delta
+    dists = [reference_dist2(_element_ref(p, scale, c), t)
+             for p, c, t in zip(points, corners, targets)]
+    if donor is None:
+        dists.append(QuadRational(2 * delta * delta))
+    return max(dists)
+
+
 class TestDistanceCertificate:
     """The integer _dist2 against the Fraction-entry reference, exactly."""
 
@@ -378,9 +476,12 @@ class TestDistanceCertificate:
     def test_matches_fraction_reference(self, s):
         point, scale, corner, target = _draw_case(random.Random(s))
         (ints,), bits = _dyadic([target])
-        got = _dist2(point, scale, corner, ints, bits)
+        # The corner need not be in lowest terms: make_suitable_near's is not.
+        f = 1 + s % 7
+        cn, cd = corner.numerator * f, corner.denominator * f
+        got = _as_quad(_dist2(point, scale, (cn, cd), ints, bits), scale, bits, cd)
         assert got == reference_dist2(_element_ref(point, scale, corner), target)
-        assert _element(point, scale, corner).rows == _element_ref(point, scale, corner).rows
+        assert _element(point, scale, (cn, cd)).rows == _element_ref(point, scale, corner).rows
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_split_element(self, n):
@@ -391,7 +492,9 @@ class TestDistanceCertificate:
         point = [[(0, 0)] * n for _ in range(n)]
         want = reference_dist2(diag(qc(0, delta), *[0] * (n - 1)), zero)
         assert want == QuadRational(2 * delta * delta)
-        assert _dist2(point, 7, delta, ints, bits) == want
+        got = _dist2(point, 7, (1, 96), ints, bits)
+        assert got == (2 * (7 << bits) ** 2, 0)  # the form make_suitable_near appends
+        assert _as_quad(got, 7, bits, 96) == want
 
     def test_extreme_entries(self):
         target = [[complex(5e-324, -1.7e308), complex(1e-310, 2.2e-308)],
@@ -399,8 +502,32 @@ class TestDistanceCertificate:
         point = [[(3, 0), (-1, 2)], [(-1, -2), (5, 0)]]
         (ints,), bits = _dyadic([target])
         corner = Fraction(-1, 3)
-        assert _dist2(point, 10, corner, ints, bits) == reference_dist2(
+        assert _as_quad(_dist2(point, 10, (-1, 3), ints, bits), 10, bits, 3) == reference_dist2(
             _element_ref(point, 10, corner), target)
+
+    @pytest.mark.parametrize("n,m,allow_split", [(2, 2, False), (3, 4, False), (4, 3, False),
+                                                 (3, 1, True)])
+    def test_sum_miss_carries_the_reference_maximum(self, n, m, allow_split):
+        # Binary64 targets that sum to I only to rounding: at eps 1e-300 the
+        # last element, I minus the others, misses by the sum's error.
+        targets = random_float_povm(random.Random(300 + 10 * n + m), n, m)
+        eps = Fraction(1, 10**300)
+        with pytest.raises(ResourceLimitError, match="lattice point lies at") as info:
+            make_suitable_near(targets, eps, allow_split=allow_split)
+        assert info.value.achieved_dist2 > eps * eps
+        assert info.value.achieved_dist2 == reference_worst(targets, eps, allow_split)
+
+    def test_psd_miss_carries_the_reference_maximum(self):
+        # Exactly Hermitian dyadic targets summing exactly to I, the third
+        # with eigenvalue -2^-30 (PSD to 1e-8): every distance is certified,
+        # but the margin theta/m at eps 1e-12 cannot lift that element to PSD.
+        t = 2.0 ** -30
+        targets = [[[0.5, 0], [0, 0.5 + t]], [[0.5, 0], [0, 0.5]], [[0, 0], [0, -t]]]
+        eps = Fraction(1, 10**12)
+        with pytest.raises(ResourceLimitError, match="not PSD") as info:
+            make_suitable_near(targets, eps)
+        assert info.value.achieved_dist2 <= eps * eps
+        assert info.value.achieved_dist2 == reference_worst(targets, eps)
 
 
 class TestMakeSuitableNear:
@@ -489,6 +616,37 @@ class TestMakeSuitableNear:
         dec = make_suitable_near(targets, Fraction(1, 100))
         assert is_suitable(dec)
 
+    @pytest.mark.parametrize("i,j,z", [(0, 1, 0.1 + 2e-8j), (1, 0, 0.1 - 2e-8),
+                                       (1, 1, 0.5 + 2e-8j)])
+    def test_rejects_non_hermitian_target(self, i, j, z):
+        # Off by 2e-8 above or below the diagonal, or an imaginary diagonal.
+        targets = [[[0.5, 0.1], [0.1, 0.5]], [[0.5, -0.1], [-0.1, 0.5]]]
+        targets[0][i][j] = z
+        with pytest.raises(InvalidInputError, match="target 0 is not Hermitian to 1e-8"):
+            make_suitable_near(targets, Fraction(1, 100))
+
+    @pytest.mark.parametrize("r_side,s,miss", [(1, -2, False), (-1, 2, True)])
+    def test_sqrt2_part_decides_the_bound(self, monkeypatch, r_side, s, miss):
+        """d^2 = (r + s*sqrt2)/den with r/den just above eps^2 and s < 0, or
+        just below and s > 0: only the sqrt2 part puts d^2 on its side."""
+        eps = Fraction(1, 100)
+
+        def at_bound(point, scale, corner, t, k):
+            den = ((scale << k) * corner[1]) ** 2
+            edge = den * eps * eps
+            r = math.ceil(edge) + 1 if r_side > 0 else math.floor(edge) - 1
+            at_bound.d2 = QuadRational(Fraction(r, den), Fraction(s, den))
+            return r, s
+
+        monkeypatch.setattr(povm, "_dist2", at_bound)
+        targets = [[[0.5, 0], [0, 0.5]], [[0.5, 0], [0, 0.5]]]
+        if not miss:
+            assert is_suitable(make_suitable_near(targets, eps))
+            return
+        with pytest.raises(ResourceLimitError) as info:
+            make_suitable_near(targets, eps)
+        assert info.value.achieved_dist2 == at_bound.d2 > eps * eps
+
     def test_entry_modulus_beyond_binary64_is_invalid(self):
         # abs() of 1.5e308 + 1.5e308j overflows; the input is no POVM.
         big = complex(1.5e308, 1.5e308)
@@ -505,3 +663,88 @@ class TestMakeSuitableNear:
         dec = make_suitable_near([half, half, tj], Fraction(1, 100))
         assert is_suitable(dec)
         assert len(dec) == 3
+
+
+def _near_boundary(rng, n, low):
+    """Binary64 rows of U diag(low, ...) U* plus anti-Hermitian noise, for a
+    random unitary U and the other eigenvalues in (0.05, 0.95)."""
+    u = _rng_orthonormal(rng, n)
+    lam = [low] + [rng.uniform(0.05, 0.95) for _ in range(n - 1)]
+    rows = [[sum(lam[k] * u[k][i] * u[k][j].conjugate() for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] += complex(rng.uniform(-1e-9, 1e-9), rng.uniform(-1e-9, 1e-9))
+    return rows
+
+
+def _exact_psd_within(rows, tol):
+    """Test-only reference: H + s*I built from Fractions, by psd_check."""
+    n = len(rows)
+    s = Fraction(tol * max(1.0, max(abs(e) for r in rows for e in r)) * 2)
+    re = [[(Fraction(rows[i][j].real) + Fraction(rows[j][i].real)) / 2 + s * (i == j)
+           for j in range(n)] for i in range(n)]
+    im = [[(Fraction(rows[i][j].imag) - Fraction(rows[j][i].imag)) / 2
+           for j in range(n)] for i in range(n)]
+    entries = [[QuadComplex(QuadRational(re[i][j]), QuadRational(im[i][j])) for j in range(n)]
+               for i in range(n)]
+    return psd_check(QuadHermitian(entries))
+
+
+class TestInputPsd:
+    """The short-integer fast path with the exact fallback decides as the
+    exact test alone, also within delta of the PSD boundary."""
+
+    def test_fast_path_and_fallback_match_the_exact_test(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(len(w))
+            return psd_cleared(w)
+
+        psd_cleared = povm._psd_cleared
+        monkeypatch.setattr(povm, "_psd_cleared", counted)
+        rng = random.Random(20261020)
+        s = 2e-8  # every entry is below 1 in modulus
+        seen = set()
+        for _ in range(12):
+            for n in (1, 2, 3, 5, 8):
+                for low in (0.0, -0.3 * s, -0.9 * s, -0.999 * s, -1.001 * s, -1.1 * s, -5 * s):
+                    rows = _near_boundary(rng, n, low)
+                    (t,), k = _dyadic([rows])
+                    calls.clear()
+                    got = _float_psd_within(rows, t, k, 1e-8)
+                    assert got == _exact_psd_within(rows, 1e-8)
+                    seen.add((len(calls), got))
+        # (1, True): the fast path proved PSD; (2, True): it declined and
+        # the exact test proved PSD; (2, False): the exact test refuted it.
+        assert seen == {(1, True), (2, True), (2, False)}
+
+    def test_dyadic_short_entries_skip_the_fast_path(self, monkeypatch):
+        # Entries with few bits need no rounding: the exact test decides alone.
+        calls = []
+        psd_cleared = povm._psd_cleared
+        monkeypatch.setattr(povm, "_psd_cleared", lambda w: calls.append(w) or psd_cleared(w))
+        rows = [[0.5, 0.25j], [-0.25j, 0.5]]
+        (t,), k = _dyadic([rows])
+        assert _float_psd_within(rows, t, k, 1e-8)
+        assert len(calls) == 1
+
+
+# make_suitable_near on the n = 32 rank-1 targets v v* of the seed-7
+# orthonormal basis at eps 1e-4: the repr's sha256 (recorded with the
+# Fraction certificate and exact input checks this output must match) and
+# a time bound of 3x the slowest measured run.
+HIGH_DIM_POVM = ("6c3bd1607c63807b86427efd1b212a12f2a2e63cf528426aebf285599a7a4407", 6.0)
+
+
+def test_make_suitable_near_n32():
+    digest, bound = HIGH_DIM_POVM
+    basis = _rng_orthonormal(random.Random(7), 32)
+    targets = [[[a * b.conjugate() for b in v] for a in v] for v in basis]
+    start = time.perf_counter()
+    dec = make_suitable_near(targets, Fraction(1, 10**4))
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(repr(dec).encode()).hexdigest() == digest
+    assert is_suitable(dec) and len(dec) == 32
+    assert elapsed < bound
