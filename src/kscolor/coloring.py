@@ -30,7 +30,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import InvalidInputError, NotApplicableError
 from .fields import _v3_int, v3
-from .linalg import Frame, GMatrix, GVector, _matmul, inner_product, projector_of
+from .linalg import Frame, GMatrix, GVector, _matmul, _sums_to_identity, inner_product, projector_of
 
 
 class TruthValue(enum.Enum):
@@ -219,14 +219,12 @@ def classify_decomposition(reps: "list[ProjectionRep]") -> list[TruthValue]:
     if any(r.matrix.n != n for r in reps):
         raise InvalidInputError("decomposition members must share one dimension")
     # (M_i M_j)* = M_j M_i, so one order of each pair suffices.
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if not (reps[i].matrix @ reps[j].matrix).is_zero():
+    xs = [r.matrix.cleared[0] for r in reps]
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if any(_matmul(xs[i], xs[j], n)):
                 raise InvalidInputError(f"members {i} and {j} are not orthogonal")
-    total = GMatrix.zeros(n)
-    for r in reps:
-        total = total + r.projector()
-    if total != GMatrix.identity(n):
+    if not _sums_to_identity([r.projector() for r in reps]):
         raise InvalidInputError("projectors do not sum to the identity")
 
     return _color_orthogonal([classify_projection_matrix(r) for r in reps])

@@ -123,11 +123,6 @@ def _true_point(a: list[int], scale: int) -> GVector:
     return GVector._of(xs, 3 * scale)
 
 
-def _dist2(vec: GVector, a: list[int]) -> Fraction:
-    """The squared projector distance from vec to the target cleared to a."""
-    return _ray_dist2(vec.cleared[0], a)
-
-
 def _within(d2: Fraction, eps: Fraction, what: str) -> Fraction:
     if d2 > eps * eps:
         raise ResourceLimitError(
@@ -171,13 +166,13 @@ def nearest_true_ray(target: Sequence, eps) -> ApproxResult:
     else:
         raw_vec = GVector.from_reals(raw)
         if classify_ray(raw_vec) is TruthValue.TRUE:
-            if 4 * _dist2(raw_vec, a) <= eps * eps:
+            if 4 * _ray_dist2(raw_vec.cleared[0], a) <= eps * eps:
                 return ApproxResult(raw_vec, Fraction(0), TruthValue.TRUE)
 
     vec = _true_point(a, scale)
     if classify_ray(vec) is not TruthValue.TRUE:
         raise AssertionError("the TRUE lattice point did not classify TRUE")
-    d2 = _within(_dist2(vec, a), eps, "TRUE ray")
+    d2 = _within(_ray_dist2(vec.cleared[0], a), eps, "TRUE ray")
     return ApproxResult(vec, d2, TruthValue.TRUE)
 
 
@@ -231,7 +226,7 @@ def _frame_near(rows: list[list[float]], eps: Fraction, scale: int,
         + [_gaussian_point(a, scale, nudge) for a in cleared[1:]]
     )
     values = _true_leg_first(frame)
-    worst = max(_dist2(leg, a) for leg, a in zip(frame, cleared))
+    worst = max(_ray_dist2(leg.cleared[0], a) for leg, a in zip(frame, cleared))
     return ApproxResult(frame, _within(worst, eps, "suitable frame"), values)
 
 
@@ -278,5 +273,5 @@ def false_ray_near(target: Sequence, eps) -> ApproxResult:
         p = [e // g for e in p]
     frame = Frame(legs)
     values = _true_leg_first(frame)
-    d2 = _within(_dist2(frame[1], a), eps, "FALSE ray")
+    d2 = _within(_ray_dist2(frame[1].cleared[0], a), eps, "FALSE ray")
     return ApproxResult(frame[1], d2, values[1], witness=frame)

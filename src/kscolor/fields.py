@@ -21,6 +21,7 @@ past CPython's digit limit.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from ._record import Frozen
@@ -29,6 +30,10 @@ from .errors import InvalidInputError, ResourceLimitError
 INF = math.inf
 # sqrt2 is about S/E = floor(sqrt2 * 2^96) / 2^96, within 2^-96.
 _S, _E = math.isqrt(2 << 192), 1 << 96
+# Largest |exponent| of decimal text such as "1e-5": Fraction expands
+# 10**|exponent| exactly, so "1e-10000000" alone takes seconds and 4 MB.
+_MAX_EXPONENT = 10 ** 5
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)\s*\Z")
 
 
 def format_fraction(x: Fraction) -> str:
@@ -66,6 +71,15 @@ def v3(x) -> "int | float":
     raise InvalidInputError(f"v3 expects an exact rational, got {type(x).__name__}")
 
 
+def _check_exponent(s: str) -> None:
+    """Refuse decimal text whose exponent is beyond +-10^5 before
+    ``Fraction`` expands it."""
+    exp = _EXPONENT.search(s)
+    digits = exp.group(1).replace("_", "").lstrip("0") if exp else ""
+    if len(digits) > 6 or digits and int(digits) > _MAX_EXPONENT:
+        raise InvalidInputError(f"decimal exponent beyond +-10^5: {s!r}")
+
+
 def _coerce_fraction(x, what: str) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -76,6 +90,7 @@ def _coerce_fraction(x, what: str) -> Fraction:
             raise InvalidInputError(f"{what} must be finite, got {x!r}")
         return Fraction(x)
     if isinstance(x, str):
+        _check_exponent(x)
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

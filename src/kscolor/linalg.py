@@ -11,18 +11,20 @@ so rays, orthogonality, projector distances and PSD are unchanged); it is
 the one clearing helper, and ``_round_div`` the one rounding rule.
 
 ``GVector``, ``GMatrix`` and ``QuadHermitian`` share one stored form
-(``_ClearedForm``): ``cleared``, their rational parts as integers over one
-canonical denominator, which ``==`` and ``hash`` read.
+(``_ClearedForm``, the ``Record`` key of ``==`` and ``hash``): ``cleared``,
+their rational parts as integers over one canonical denominator.
 - A ``GVector`` stores its 2n real coordinates.  ``inner_product``,
   ``norm2``, ``ray_dist2``, ``gram_schmidt`` (which builds its legs from its
   integers) and the ``Frame`` orthogonality check take integer dot products
   on them; ``same_ray`` compares the canonical ray keys ``_ray_key`` makes.
-- A ``GMatrix`` stores the (re, im) parts of its n^2 entries.  ``+``, ``@``,
-  ``scaled``, ``trace``, ``is_hermitian`` and ``projector_of`` run on them.
-- A ``QuadHermitian`` stores its 4n^2 Q(sqrt2) coefficients.  ``+``, ``-``,
-  ``scaled``, ``frob_dist2`` and ``psd_check`` run on them; ``psd_check``
-  eliminates fraction-free in Z[sqrt2] + iZ[sqrt2] (Bareiss, Math. Comp. 22,
-  1968).
+- ``GMatrix`` and ``QuadHermitian`` share one square base, ``_Square``: the
+  shape check, ``identity``, ``zeros``, ``rows``, ``+`` and ``repr`` over
+  ``_width`` integers per entry, (re, im) or the 4 Q(sqrt2) coefficients.
+  ``_sums_to_identity`` checks a sum to I over one lcm, and ``_pair_times``
+  is the ``scaled`` of all three types.  ``@``, ``trace``, ``is_hermitian``
+  and ``projector_of`` run on a ``GMatrix``; ``-``, ``frob_dist2`` and
+  ``psd_check`` on a ``QuadHermitian``, whose ``psd_check`` eliminates
+  fraction-free in Z[sqrt2] + iZ[sqrt2] (Bareiss, Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from operator import mul
 
-from ._record import Frozen, Items
+from ._record import Items, Record
 from .errors import DegenerateInputError, InvalidInputError
 from .fields import (
     GaussianRational,
@@ -67,12 +69,12 @@ def _round_div(p: int, q: int) -> int:
     return k + (2 * r > q or (2 * r == q and k % 2 == 1))
 
 
-class _ClearedForm(Frozen):
+class _ClearedForm(Record):
     """The stored form shared by ``GVector``, ``GMatrix`` and
     ``QuadHermitian``: ``cleared`` = (x, d), the value's rational parts as
-    integers x over one d > 0 with gcd(d, x) = 1, unique to the value, so
-    ``==`` and ``hash`` read it.  Each subclass builds every value by its
-    ``_of``, which validates x and ends in ``_store``."""
+    integers x over one d > 0 with gcd(d, x) = 1, unique to the value, so it
+    is the ``Record`` key.  Each subclass builds every value by its ``_of``,
+    which validates x and ends in ``_store``."""
 
     __slots__ = ()
 
@@ -84,28 +86,14 @@ class _ClearedForm(Frozen):
         object.__setattr__(v, "cleared", (tuple([c // g for c in x]), d // g))
         return v
 
+    def _key(self) -> tuple:
+        return self.cleared
+
     def __reduce__(self):
         return type(self)._of, self.cleared
 
-    def _plus(self, other, sign: int):
-        """self + sign*other on the integers, over the lcm of the denominators."""
-        if type(other) is not type(self) or len(other.cleared[0]) != len(self.cleared[0]):
-            return NotImplemented
-        (x, dx), (y, dy) = self.cleared, other.cleared
-        d = math.lcm(dx, dy)
-        p, q = d // dx, sign * (d // dy)
-        return self._of([a * p + b * q for a, b in zip(x, y)], d)
-
     def is_zero(self) -> bool:
         return not any(self.cleared[0])
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.cleared == other.cleared
-
-    def __hash__(self):
-        return hash(self.cleared)
 
 
 def _gaussians(x: Sequence[int], d: int) -> list[GaussianRational]:
@@ -113,12 +101,13 @@ def _gaussians(x: Sequence[int], d: int) -> list[GaussianRational]:
     return [GaussianRational(Fraction(a, d), Fraction(b, d)) for a, b in zip(x[::2], x[1::2])]
 
 
-def _gauss_times(x: Sequence[int], s) -> tuple[list[int], int]:
-    """Cleared (re, im) pairs x times the Gaussian rational s, as integers
-    over the denominator of s: (a + bi)(p + qi) = (ap - bq) + (aq + bp)i."""
-    s = GaussianRational._coerce(s)
-    (p, q), den = _cleared((s.re, s.im))
-    return [c for a, b in zip(x[::2], x[1::2]) for c in (a * p - b * q, a * q + b * p)], den
+def _pair_times(x: Sequence[int], s) -> tuple[list[int], int]:
+    """Cleared pairs (a, b) of x times the two-part scalar s = p + qu, as
+    integers over the denominator of s: (a + bu)(p + qu) = (ap + bq*u^2) +
+    (aq + bp)u, with u^2 = ``s._square``."""
+    (p, q), den = _cleared((s._a, s._b))
+    u2 = s._square
+    return [c for a, b in zip(x[::2], x[1::2]) for c in (a * p + u2 * b * q, a * q + b * p)], den
 
 
 class GVector(_ClearedForm):
@@ -163,7 +152,7 @@ class GVector(_ClearedForm):
         return tuple([Fraction(c, d) for c in x])
 
     def scaled(self, s) -> "GVector":
-        x, den = _gauss_times(self.cleared[0], s)
+        x, den = _pair_times(self.cleared[0], GaussianRational._coerce(s))
         if not any(x):
             raise InvalidInputError("cannot scale a ray representative by zero")
         return GVector._of(x, self.cleared[1] * den)
@@ -371,7 +360,73 @@ def _matmul(x: Sequence[int], y: Sequence[int], n: int) -> list[int]:
             for c in _inner(z, iz, x[k : k + 2 * n])]
 
 
-class GMatrix(_ClearedForm):
+class _Square(_ClearedForm):
+    """The base of ``GMatrix`` and ``QuadHermitian``: a nonempty square
+    matrix whose ``cleared`` integers hold ``_width`` parts per entry, row by
+    row.  ``_of`` checks the shape and the subclass's ``_check``; rows are
+    derived from ``entry`` on each read."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, x: Sequence[int], d: int):
+        """The matrix x/d, for integers x and d > 0; the one constructor."""
+        w = cls._width
+        n = math.isqrt(len(x) // w)
+        if n < 1 or w * n * n != len(x):
+            raise InvalidInputError("matrix must be square and nonempty")
+        cls._check(x, n)
+        return cls._store(x, d)
+
+    @staticmethod
+    def _check(x: Sequence[int], n: int) -> None:
+        """Refuse integers x that are no matrix of the subclass."""
+
+    @classmethod
+    def identity(cls, n: int):
+        w = cls._width
+        return cls._of([int(k % (w * n + w) == 0) for k in range(w * n * n)], 1)
+
+    @classmethod
+    def zeros(cls, n: int):
+        return cls._of([0] * (cls._width * n * n), 1)
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(len(self.cleared[0]) // self._width)
+
+    @property
+    def rows(self) -> tuple:
+        n = self.n
+        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
+
+    def _plus(self, other, sign: int):
+        """self + sign*other on the integers, over the lcm of the denominators."""
+        if type(other) is not type(self) or len(other.cleared[0]) != len(self.cleared[0]):
+            return NotImplemented
+        (x, dx), (y, dy) = self.cleared, other.cleared
+        d = math.lcm(dx, dy)
+        p, q = d // dx, sign * (d // dy)
+        return self._of([a * p + b * q for a, b in zip(x, y)], d)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(r) for r in self.rows]!r})"
+
+
+def _sums_to_identity(mats: Sequence[_Square]) -> bool:
+    """Whether matrices of one type and size sum exactly to I: the sum of
+    x_k*(D/d_k) is D*I over D = lcm(d_k), on the cleared forms (x_k, d_k)."""
+    forms = [m.cleared for m in mats]
+    w, n = mats[0]._width, mats[0].n
+    den = math.lcm(*[d for _, d in forms])
+    total = [sum(c) for c in zip(*[[a * (den // d) for a in x] for x, d in forms])]
+    return total == [den * (k % (w * n + w) == 0) for k in range(w * n * n)]
+
+
+class GMatrix(_Square):
     """Square matrix over the Gaussian rationals.
 
     ``cleared`` is the only stored form: (re, im) of each entry, row by row,
@@ -381,6 +436,7 @@ class GMatrix(_ClearedForm):
     """
 
     __slots__ = ("cleared",)
+    _width = 2
 
     def __new__(cls, rows: Iterable[Iterable]) -> "GMatrix":
         rs = [[_coerce_gaussian(e) for e in row] for row in rows]
@@ -388,38 +444,10 @@ class GMatrix(_ClearedForm):
             raise InvalidInputError("matrix must be square and nonempty")
         return cls._of(*_cleared([q for r in rs for e in r for q in (e.re, e.im)]))
 
-    @classmethod
-    def _of(cls, x: Sequence[int], d: int) -> "GMatrix":
-        """The matrix x/d, for integers x and d > 0; the one constructor."""
-        n = math.isqrt(len(x) // 2)
-        if n < 1 or 2 * n * n != len(x):
-            raise InvalidInputError("matrix must be square and nonempty")
-        return cls._store(x, d)
-
-    @classmethod
-    def identity(cls, n: int) -> "GMatrix":
-        return cls._of([int(k % (2 * n + 2) == 0) for k in range(2 * n * n)], 1)
-
-    @classmethod
-    def zeros(cls, n: int) -> "GMatrix":
-        return cls._of([0] * (2 * n * n), 1)
-
-    @property
-    def n(self) -> int:
-        return math.isqrt(len(self.cleared[0]) // 2)
-
-    @property
-    def rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        es, n = _gaussians(*self.cleared), self.n
-        return tuple([tuple(es[k : k + n]) for k in range(0, len(es), n)])
-
     def entry(self, i: int, j: int) -> GaussianRational:
         (x, d), n = self.cleared, self.n
         k = 2 * (n * range(n)[i] + range(n)[j])  # IndexError out of range, as rows[i][j]
         return _gaussians(x[k : k + 2], d)[0]
-
-    def __add__(self, other):
-        return self._plus(other, 1)
 
     def __matmul__(self, other):
         if not isinstance(other, GMatrix) or other.n != self.n:
@@ -428,7 +456,7 @@ class GMatrix(_ClearedForm):
         return GMatrix._of(_matmul(x, y, self.n), dx * dy)
 
     def scaled(self, s) -> "GMatrix":
-        x, den = _gauss_times(self.cleared[0], s)
+        x, den = _pair_times(self.cleared[0], GaussianRational._coerce(s))
         return GMatrix._of(x, self.cleared[1] * den)
 
     def trace(self) -> GaussianRational:
@@ -445,9 +473,6 @@ class GMatrix(_ClearedForm):
                     return False
         return True
 
-    def __repr__(self):
-        return f"GMatrix({[list(r) for r in self.rows]!r})"
-
 
 def projector_of(v: GVector) -> GMatrix:
     """Rank-1 orthogonal projector onto the ray of v, exact: x x* / |x|^2
@@ -458,16 +483,17 @@ def projector_of(v: GVector) -> GMatrix:
                        sum(map(mul, x, x)))
 
 
-class QuadHermitian(_ClearedForm):
+class QuadHermitian(_Square):
     """Hermitian matrix with QuadComplex entries, verified exactly.
 
     ``cleared`` is the only stored form: (re.rat, re.sqrt2, im.rat, im.sqrt2)
     of each entry, row by row, as integers x over one d > 0 with
-    gcd(d, x) = 1, so ``==`` and ``hash`` read it.  ``_of`` builds every
-    matrix; rows and entries are derived on each read.
+    gcd(d, x) = 1.  ``+``, ``-`` and ``scaled`` run on it; rows and entries
+    are derived on each read.
     """
 
     __slots__ = ("cleared",)
+    _width = 4
 
     def __new__(cls, rows: Iterable[Iterable]) -> "QuadHermitian":
         try:
@@ -479,36 +505,14 @@ class QuadHermitian(_ClearedForm):
         return cls._of(*_cleared([q for r in rs for e in r
                                   for q in (e.re.rat, e.re.sqrt2, e.im.rat, e.im.sqrt2)]))
 
-    @classmethod
-    def _of(cls, x: Sequence[int], d: int) -> "QuadHermitian":
-        """The matrix x/d, for integers x and d > 0; the one constructor.
-        Entry (j, i) must be (a, b, -c, -e) where entry (i, j) is (a, b, c, e)."""
-        n = math.isqrt(len(x) // 4)
-        if n < 1 or 4 * n * n != len(x):
-            raise InvalidInputError("matrix must be square and nonempty")
+    @staticmethod
+    def _check(x: Sequence[int], n: int) -> None:
+        """Entry (j, i) must be (a, b, -c, -e) where entry (i, j) is (a, b, c, e)."""
         for i in range(n):
             for j in range(i, n):
                 a, b, c, e = x[4 * (n * i + j) : 4 * (n * i + j) + 4]
                 if tuple(x[4 * (n * j + i) : 4 * (n * j + i) + 4]) != (a, b, -c, -e):
                     raise InvalidInputError(f"not Hermitian at entry ({i}, {j})")
-        return cls._store(x, d)
-
-    @classmethod
-    def identity(cls, n: int) -> "QuadHermitian":
-        return cls._of([int(k % (4 * n + 4) == 0) for k in range(4 * n * n)], 1)
-
-    @classmethod
-    def zeros(cls, n: int) -> "QuadHermitian":
-        return cls._of([0] * (4 * n * n), 1)
-
-    @property
-    def n(self) -> int:
-        return math.isqrt(len(self.cleared[0]) // 4)
-
-    @property
-    def rows(self) -> tuple[tuple[QuadComplex, ...], ...]:
-        n = self.n
-        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def entry(self, i: int, j: int) -> QuadComplex:
         (x, d), n = self.cleared, self.n
@@ -516,25 +520,13 @@ class QuadHermitian(_ClearedForm):
         return QuadComplex(QuadRational(Fraction(x[k], d), Fraction(x[k + 1], d)),
                            QuadRational(Fraction(x[k + 2], d), Fraction(x[k + 3], d)))
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     def __sub__(self, other):
         return self._plus(other, -1)
 
     def scaled(self, s) -> "QuadHermitian":
         """Scale by a real QuadRational (keeps the matrix Hermitian)."""
-        if not isinstance(s, QuadRational):
-            s = QuadRational(s)
-        (p, q), den = _cleared((s.rat, s.sqrt2))
-        x, d = self.cleared
-        out = []
-        for a, b in zip(x[::2], x[1::2]):  # (a + b*sqrt2)(p + q*sqrt2)
-            out += (a * p + 2 * b * q, a * q + b * p)
-        return QuadHermitian._of(out, d * den)
-
-    def __repr__(self):
-        return f"QuadHermitian({[list(r) for r in self.rows]!r})"
+        x, den = _pair_times(self.cleared[0], s if isinstance(s, QuadRational) else QuadRational(s))
+        return QuadHermitian._of(x, self.cleared[1] * den)
 
 
 def psd_check(a: QuadHermitian) -> bool:

@@ -45,7 +45,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .fields import QuadRational, _coerce_eps, _sqrt2_sign, format_fraction, rationalize
-from .linalg import QuadHermitian, _cleared, _psd_cleared, _round_div, psd_check
+from .linalg import (QuadHermitian, _cleared, _psd_cleared, _round_div, _sums_to_identity,
+                     psd_check)
 
 
 class PovmElement(Record):
@@ -87,11 +88,7 @@ class PovmDecomposition(Items):
         n = elems[0].n
         if any(e.n != n for e in elems):
             raise InvalidInputError("decomposition elements must share one dimension")
-        # Sum of x_k*(D/d_k) == D*I over D = lcm(d_k), on the cleared forms.
-        forms = [e.matrix.cleared for e in elems]
-        den = math.lcm(*[d for _, d in forms])
-        total = [sum(c) for c in zip(*[[a * (den // d) for a in x] for x, d in forms])]
-        if total != [den * (k % (4 * n + 4) == 0) for k in range(4 * n * n)]:
+        if not _sums_to_identity([e.matrix for e in elems]):
             raise InvalidInputError("elements do not sum exactly to the identity")
         object.__setattr__(self, "elements", elems)
 
@@ -292,18 +289,6 @@ def _validate_povm_targets(targets) -> tuple[list, list, int]:
     return mats, ints, bits
 
 
-def _try_exact_passthrough(targets) -> PovmDecomposition | None:
-    if not all(isinstance(t, (QuadHermitian, PovmElement)) for t in targets):
-        return None
-    try:
-        d = PovmDecomposition(targets)
-    except InvalidInputError:
-        return None
-    if is_suitable(d):
-        return d
-    return None
-
-
 def _lattice_point(t, theta: tuple[int, int], m: int, scale: int, k: int):
     """Numerator pairs (re, im), over ``scale``, of the Gaussian-integer
     lattice point nearest (ties to even) to (1 - theta)*H + (theta/m)*I, for
@@ -375,10 +360,13 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
         targets = list(targets.elements)
     else:
         targets = list(targets)
-    passthrough = _try_exact_passthrough(targets)
-    if passthrough is not None:
-        return passthrough
     if all(isinstance(t, (QuadHermitian, PovmElement)) for t in targets):
+        try:
+            dec = PovmDecomposition(targets)
+            if is_suitable(dec):
+                return dec
+        except InvalidInputError:
+            pass
         # Exact but not already suitable: perturb through the float path.
         targets = [
             [[e.to_complex() for e in row]

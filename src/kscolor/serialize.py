@@ -14,16 +14,9 @@ from fractions import Fraction
 
 from .coloring import ProjectionRep, TruthValue
 from .errors import InvalidInputError
-from .fields import GaussianRational, QuadComplex, QuadRational, format_fraction
+from .fields import GaussianRational, QuadComplex, QuadRational, _check_exponent, format_fraction
 from .linalg import Frame, GMatrix, GVector, QuadHermitian
 from .povm import PovmDecomposition, PovmElement
-
-
-# Largest |exponent| of decimal text such as "1e-5".  Fraction expands
-# 10**|exponent| exactly, so "1e-10000000" alone would take seconds and
-# build a 4 MB integer.
-_MAX_EXPONENT = 10 ** 5
-_EXPONENT = _re.compile(r"[eE][+-]?([\d_]+)\s*\Z")
 
 
 def parse_fraction(s) -> Fraction:
@@ -35,10 +28,7 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        exp = _EXPONENT.search(s)
-        digits = exp.group(1).replace("_", "").lstrip("0") if exp else ""
-        if len(digits) > 6 or digits and int(digits) > _MAX_EXPONENT:
-            raise InvalidInputError(f"decimal exponent beyond +-10^5: {s!r}")
+        _check_exponent(s)
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:

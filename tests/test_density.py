@@ -30,6 +30,7 @@ from kscolor.linalg import (
     GVector,
     _cleared,
     _project_out,
+    _ray_dist2,
     _round_div,
     gram_schmidt,
     inner_product,
@@ -222,7 +223,7 @@ def reference_false_ray_near(target, eps) -> ApproxResult:
     x = _true_point(completion[1].cleared[0], scale)
     frame = gram_schmidt([x, y] + list(completion[2:]))
     values = density._true_leg_first(frame)
-    d2 = density._within(density._dist2(frame[1], a), eps, "FALSE ray")
+    d2 = density._within(_ray_dist2(frame[1].cleared[0], a), eps, "FALSE ray")
     return ApproxResult(frame[1], d2, values[1], witness=frame)
 
 

@@ -3,6 +3,7 @@ and the Q(sqrt2) / Gaussian-rational field types."""
 
 import math
 import random
+import time
 from collections import namedtuple
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from kscolor.fields import (
     GaussianRational,
     QuadComplex,
     QuadRational,
+    _coerce_eps,
     adjust_denominator,
     rationalize,
     v3,
@@ -190,6 +192,19 @@ class TestEpsilonValidation:
             assert nearest_true_ray([1.0, 0, 0, 0], eps) == want
         assert suitable_frame_near([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], 0.5) == \
             suitable_frame_near([[1.0, 0, 0, 0], [0, 0, 1.0, 0]], Fraction(1, 2))
+
+    @pytest.mark.parametrize("reader", [
+        QuadRational, GaussianRational, _coerce_eps, lambda s: rationalize(s, 10),
+    ], ids=["QuadRational", "GaussianRational", "_coerce_eps", "rationalize"])
+    def test_decimal_exponent_is_bounded(self, reader):
+        """Text with an exponent beyond +-10^5 is refused before Fraction
+        expands it (1e-3000000 took 1.5 s and 1e-1000000 built a 3.3-Mbit
+        denominator); a moderate exponent still reads."""
+        start = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="exponent"):
+            reader("1e-200000")
+        assert time.perf_counter() - start < 1.0
+        assert reader("1e-5000") is not None
 
 
 class TestQuadRational:

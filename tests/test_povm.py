@@ -553,6 +553,10 @@ class TestMakeSuitableNear:
         d = PovmDecomposition([PovmElement(REST), PovmElement(SLICE)])
         assert make_suitable_near(d, Fraction(1, 10**6)) is d
 
+    def test_exactly_suitable_element_list_passes_through(self):
+        want = PovmDecomposition([PovmElement(REST), PovmElement(SLICE)])
+        assert make_suitable_near([REST, PovmElement(SLICE)], Fraction(1, 10**6)) == want
+
     def test_exact_but_unsuitable_input_is_perturbed(self):
         d = PovmDecomposition(
             [PovmElement(diag(HALF, HALF, HALF)), PovmElement(diag(HALF, HALF, HALF))]

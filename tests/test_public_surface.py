@@ -182,12 +182,15 @@ def test_only_record_module_guards_attributes():
 
 
 def test_only_value_bases_define_equality_hash_and_reduce():
-    """``__eq__``, ``__hash__`` and ``__reduce__`` come from ``Record``,
-    the two-part scalar base and the cleared-integer base alone, so every
-    other value type compares, hashes and pickles by its fields."""
-    found = {(f, c) for f, c, _ in _definitions(("__eq__", "__hash__", "__reduce__"))}
-    assert found == {("_record.py", "Record"), ("fields.py", "_Pair"),
-                     ("linalg.py", "_ClearedForm")}
+    """``__eq__`` and ``__hash__`` come from ``Record`` and the two-part
+    scalar base alone, and ``__reduce__`` from those two and the
+    cleared-integer base, so every other value type compares, hashes and
+    pickles by its fields."""
+    found = _definitions(("__eq__", "__hash__", "__reduce__"))
+    assert {(f, c) for f, c, n in found if n != "__reduce__"} == {
+        ("_record.py", "Record"), ("fields.py", "_Pair")}
+    assert {(f, c) for f, c, n in found if n == "__reduce__"} == {
+        ("_record.py", "Record"), ("fields.py", "_Pair"), ("linalg.py", "_ClearedForm")}
 
 
 @pytest.mark.parametrize("copier", [
