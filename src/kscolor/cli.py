@@ -50,6 +50,7 @@ from .kscheck import (
 from .povm import classify_with_witness, make_suitable_near
 from .povm import truth_sum as povm_truth_sum
 from .serialize import (
+    _keyed,
     format_fraction,
     frame_from_obj,
     frame_to_obj,
@@ -171,10 +172,7 @@ def _complex_entry(e) -> complex:
             raise InvalidInputError("complex entries as arrays must be [re, im]")
         return complex(_real_number(e[0]), _real_number(e[1]))
     if isinstance(e, dict):
-        extra = set(e) - {"re", "im"}
-        if extra:
-            raise InvalidInputError(f"unexpected keys in entry: {sorted(extra)}")
-        return complex(_real_number(e.get("re", 0)), _real_number(e.get("im", 0)))
+        return complex(*_keyed(e, ("re", "im"), _real_number, "entry"))
     return complex(_real_number(e), 0.0)
 
 
@@ -196,13 +194,9 @@ def _povm_targets_in(obj):
 # output rendering
 
 
-def _frac_str(x) -> str:
-    return format_fraction(Fraction(x))
-
-
 def _approx_vector_obj(res) -> dict:
     return {
-        "achieved_dist2": _frac_str(res.achieved_dist2),
+        "achieved_dist2": format_fraction(res.achieved_dist2),
         "value": truth_to_str(res.certificate),
         "vector": vector_to_obj(res.object),
     }
@@ -296,7 +290,7 @@ def _cmd_suitable_frame(args) -> dict:
     frame = res.object
     return {
         "frame": frame_to_obj(frame),
-        "max_dist2": _frac_str(res.achieved_dist2),
+        "max_dist2": format_fraction(res.achieved_dist2),
         "sum": truth_sum(frame),
         "values": truths_to_obj(res.certificate),
     }
@@ -343,7 +337,7 @@ def _cmd_ks_solve(args) -> dict:
 
 def _cmd_ks_perturb(args) -> dict:
     rs = _read_rayset(args.rayset)
-    epsilon = _frac_str(_coerce_eps(args.epsilon))  # refuses an unprintable eps up front
+    epsilon = format_fraction(_coerce_eps(args.epsilon))  # refuses an unprintable eps up front
     rep = perturb_to_suitable(rs, args.epsilon)
     contexts = []
     for c in rep.contexts:
@@ -353,7 +347,7 @@ def _cmd_ks_perturb(args) -> dict:
                 "rays": [rs.labels[i] for i in c.ray_indices],
                 "values": truths_to_obj(c.values),
                 "sum": c.truth_total,
-                "max_dist2": _frac_str(c.max_dist2),
+                "max_dist2": format_fraction(c.max_dist2),
                 "legs": [vector_to_obj(leg) for leg in c.frame],
             }
         )

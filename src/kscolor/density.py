@@ -212,15 +212,14 @@ def suitable_frame_near(targets: Sequence[Sequence], eps) -> ApproxResult:
     rows = _validate_frame_target(targets)
     eps = _coerce_eps(eps)
     n = len(rows)
-    return _frame_near(rows, eps, _scale(eps, 2 * n, 4 * n))
+    return _frame_near([_cleared(row)[0] for row in rows], eps, _scale(eps, 2 * n, 4 * n))
 
 
-def _frame_near(rows: list[list[float]], eps: Fraction, scale: int,
+def _frame_near(cleared: list[tuple[int, ...]], eps: Fraction, scale: int,
                 nudge: bool = False) -> ApproxResult:
-    """``suitable_frame_near`` of validated targets at a scale M >= the
-    proven one, 3 not dividing M.  ``nudge`` keeps each rounding y with
-    Re<x, y> = x_1 y_1 != 0 mod 3 for the TRUE point x: never orthogonal."""
-    cleared = [_cleared(row)[0] for row in rows]
+    """``suitable_frame_near`` of validated targets given as cleared integer
+    rows, at a scale M >= the proven one, 3 not dividing M.  ``nudge`` keeps
+    each rounding y with Re<x, y> = x_1 y_1 != 0 mod 3 for the TRUE point x."""
     frame = gram_schmidt(
         [_true_point(cleared[0], scale)]
         + [_gaussian_point(a, scale, nudge) for a in cleared[1:]]

@@ -8,7 +8,8 @@ Four scalar domains, all exact:
 * ``QuadComplex``, complex numbers whose real and imaginary parts are
   QuadRational.
 
-The last three are two-part numbers a + b*u on one immutable base.
+The last three are two-part numbers a + b*u on one immutable base, whose
+binary operators read the other operand by one rule, ``_operand``.
 
 On top of these the module provides the 3-adic valuation ``v3``, best rational
 approximation of machine reals (``rationalize``), and denominator adjustment
@@ -20,6 +21,7 @@ past CPython's digit limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -146,13 +148,13 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
     """Move r by at most eps so its reduced denominator is (or is not)
     divisible by 3.
 
-    If r already satisfies the divisibility requirement it is returned
-    unchanged.  Otherwise the result is p''/q'' with q'' = 3*N*q'' scheme:
-    for the divisible case p'' = 3*N*p + 1, q'' = 3*N*q, and for the
-    non-divisible case p'' = N*p, q'' = N*q + 1, where N is the smallest
-    positive integer making q'' at least 1/eps and the exact displacement at
-    most eps, incremented further if reduction spoils the divisibility.
-    The result is never zero.
+    If r = p/q (lowest terms) already satisfies the divisibility requirement
+    it is returned unchanged.  Otherwise the result is (3Np + 1)/(3Nq) for
+    the divisible case and Np/(Nq + 1) for the non-divisible one, where N is
+    the smallest positive integer making the denominator before reduction
+    at least 1/eps and the exact displacement at most eps; the comments
+    prove that this first candidate always qualifies.  The result is never
+    zero.
     """
     r = _coerce_fraction(r, "adjust_denominator input")
     if r == 0:
@@ -166,25 +168,18 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
     p, q = r.numerator, r.denominator
     inv_eps = math.ceil(1 / eps)
     if want_div3:
-        # displacement is exactly 1/(3*N*q)
+        # 3 never divides 3Np + 1, so the 3 of 3Nq stays in the reduced
+        # denominator; the displacement 1/(3Nq) <= 1/inv_eps <= eps.
         n = max(1, math.ceil(Fraction(inv_eps, 3 * q)))
-        while True:
-            cand = Fraction(3 * n * p + 1, 3 * n * q)
-            if cand.denominator % 3 == 0 and abs(cand - r) <= eps:
-                return cand
-            n += 1
-    else:
-        # displacement is exactly |p| / (q * (N*q + 1))
-        n = max(
-            1,
-            math.ceil(Fraction(inv_eps - 1, q)),
-            math.ceil((Fraction(abs(p), q) / eps - 1) / q),
-        )
-        while True:
-            cand = Fraction(n * p, n * q + 1)
-            if cand.denominator % 3 != 0 and abs(cand - r) <= eps:
-                return cand
-            n += 1
+        return Fraction(3 * n * p + 1, 3 * n * q)
+    # 3 | q implies 3 does not divide Nq + 1; the displacement is
+    # |p|/(q(Nq + 1)), at most eps as N >= (|p|/(q eps) - 1)/q.
+    n = max(
+        1,
+        math.ceil(Fraction(inv_eps - 1, q)),
+        math.ceil((Fraction(abs(p), q) / eps - 1) / q),
+    )
+    return Fraction(n * p, n * q + 1)
 
 
 def _quad_float(a: int, b: int, d: int) -> float:
@@ -215,6 +210,19 @@ def _sqrt2_sign(a, b) -> int:
 
 _new = object.__new__
 _set = object.__setattr__
+
+
+def _operand(op):
+    """``op(self, o)`` for the other operand o read by ``self._coerce``, or
+    NotImplemented where it cannot be read, so Python tries the reflection."""
+    @functools.wraps(op)
+    def method(self, other):
+        try:
+            o = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, o)
+    return method
 
 
 class _Pair(Frozen):
@@ -256,37 +264,25 @@ class _Pair(Frozen):
             return cls(x)
         raise TypeError(f"cannot interpret {type(x).__name__} as {cls.__name__}")
 
-    def __add__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __add__(self, o):
         return self._of(self._a + o._a, self._b + o._b)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __sub__(self, o):
         return self._of(self._a - o._a, self._b - o._b)
 
-    def __rsub__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __rsub__(self, o):
         return self._of(o._a - self._a, o._b - self._b)
 
     def __neg__(self):
         return self._of(-self._a, -self._b)
 
-    def __mul__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __mul__(self, o):
         a, b, c, d = self._a, self._b, o._a, o._b
         # (a + bu)(c + du) = (ac + bd*u^2) + (ad + bc)u, with u^2 = 2 or -1
         first = a * c + 2 * b * d if self._square == 2 else a * c - b * d
@@ -300,13 +296,9 @@ class _Pair(Frozen):
     def __bool__(self):
         return bool(self._a) or bool(self._b)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            try:
-                other = self._coerce(other)
-            except TypeError:
-                return NotImplemented
-        return self._a == other._a and self._b == other._b
+    @_operand
+    def __eq__(self, o):
+        return self._a == o._a and self._b == o._b
 
     def __hash__(self):
         if not self._b:
@@ -339,18 +331,12 @@ class QuadRational(_Pair):
             raise InvalidInputError("division by zero QuadRational")
         return self._of(self.rat / norm, -self.sqrt2 / norm)
 
-    def __truediv__(self, other):
-        try:
-            o = QuadRational._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, o):
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        try:
-            o = QuadRational._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __rtruediv__(self, o):
         return o * self.inverse()
 
     def sign(self) -> int:
@@ -419,11 +405,8 @@ class GaussianRational(_Pair):
             raise InvalidInputError("division by zero GaussianRational")
         return self._of(self.re / n, -self.im / n)
 
-    def __truediv__(self, other):
-        try:
-            o = GaussianRational._coerce(other)
-        except TypeError:
-            return NotImplemented
+    @_operand
+    def __truediv__(self, o):
         return self * o.inverse()
 
     def to_complex(self) -> complex:

@@ -17,7 +17,8 @@ instances.  ``perturb_to_suitable`` replaces every context by a nearby
 exactly-suitable frame, showing how shared rays diverge into per-context
 copies: one pass at per-context lattice scales, then at most one
 deterministic repair of the contexts whose copies coincide, checked by
-canonical ray keys.
+canonical ray keys.  Each ray's float target is read once from its stored
+integers over a power of two, so rays of any size perturb.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from fractions import Fraction
 from operator import mul
 
 from ._record import Record
-from .coloring import TruthValue, truth_sum
-from .density import _frame_near, _scale, _validate_frame_target
+from .coloring import TruthValue
+from .density import _frame_near, _scale
 from .errors import InvalidInputError, ResourceLimitError
 from .fields import QuadComplex, QuadRational, _coerce_eps, _quad_float
-from .linalg import Frame, _ray_key
+from .linalg import Frame, _cleared, _ray_key
 from .serialize import _quad_parts, format_quad_token
 
 _BRUTE_FORCE_LIMIT = 24
@@ -364,15 +365,20 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     scale = _scale(eps, 2 * n, 4 * n)
     targets = {}
     for i in set().union(*g.contexts):
-        v = rs.ray_floats(i)
-        nrm = math.sqrt(sum(x * x for x in v))
-        targets[i] = [x / nrm for x in v]
+        # The ray over 2^s, s about log2 of its largest part: exact in binary64,
+        # and it brings the floats near 1 whatever the size of the ray.
+        x, d = rs.cleared[i]
+        s = max(map(abs, x)).bit_length() - d.bit_length()
+        x, d = (x, d << s) if s >= 0 else ([c << -s for c in x], d)
+        v = [_quad_float(x[j], x[j + 1], d) for j in range(0, len(x), 2)]
+        nrm = math.sqrt(sum(c * c for c in v))
+        targets[i] = _cleared([c / nrm for c in v])[0]
 
     def perturb(ci, moved=()):
         """Context ci's frame, values and distance; a repair puts the legs
         at positions ``moved`` right after the TRUE leg and nudges."""
         order = [0, *moved, *(p for p in range(1, n) if p not in moved)]
-        rows = _validate_frame_target([targets[g.contexts[ci][p]] for p in order])
+        rows = [targets[g.contexts[ci][p]] for p in order]
         res = _frame_near(rows, eps, scale + 3 * ci, nudge=bool(moved))
         if not moved:
             return res.object, res.certificate, res.achieved_dist2
@@ -406,10 +412,9 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     if redo:
         key = keys()
 
-    contexts = [PerturbedContext(ci, ctx, frame, tuple(values), truth_sum(frame), dist2)
-                for ci, (ctx, (frame, values, dist2)) in enumerate(zip(g.contexts, results))]
-    all_suitable = all(c.truth_total == 1 and c.values.count(TruthValue.TRUE) == 1
-                       for c in contexts)
+    contexts = [PerturbedContext(ci, ctx, frame, tuple(vals), vals.count(TruthValue.TRUE), d2)
+                for ci, (ctx, (frame, vals, d2)) in enumerate(zip(g.contexts, results))]
+    all_suitable = all(c.truth_total == 1 for c in contexts)
 
     divergences = [
         DivergenceEntry(ray, rs.labels[ray], c1, c2, key[c1, p1] != key[c2, p2])

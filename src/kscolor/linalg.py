@@ -222,17 +222,11 @@ def norm2(v: GVector) -> Fraction:
     return Fraction(sum(map(mul, x, x)), d * d)
 
 
-def _ray_overlap(x: Sequence[int], y: Sequence[int]) -> tuple[int, int]:
-    """|<x,y>|^2 and <x,x><y,y> of two cleared vectors; their ratio is the
-    squared cosine of the angle between the rays."""
-    re, im = _inner(x, _times_i(x), y)
-    return re * re + im * im, sum(map(mul, x, x)) * sum(map(mul, y, y))
-
-
 def _ray_dist2(x: Sequence[int], y: Sequence[int]) -> Fraction:
     """``ray_dist2`` of two cleared vectors of one length."""
-    overlap, norms = _ray_overlap(x, y)
-    return Fraction(2 * (norms - overlap), norms)
+    re, im = _inner(x, _times_i(x), y)
+    norms = sum(map(mul, x, x)) * sum(map(mul, y, y))
+    return Fraction(2 * (norms - re * re - im * im), norms)
 
 
 def _ray_key(v: GVector) -> tuple[int, ...]:

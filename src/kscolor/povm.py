@@ -164,9 +164,10 @@ def classify_with_witness(
     delta = rationalize(mu.to_float() / 3, 10 ** 6)
     if 0 < delta and mu.sqrt2 <= delta:
         bump = _element([[(0, 0)] * n] * n, 1, (delta.numerator, delta.denominator))
-        third = complement - bump
-        if psd_check(third):
-            return TruthValue.FALSE, PovmDecomposition([a, bump, third])
+        try:  # the third element is PSD, or PovmElement refuses it
+            return TruthValue.FALSE, PovmDecomposition([a, bump, complement - bump])
+        except InvalidInputError:
+            pass
 
     # Scaled complement: lam*mu = y*(sqrt2 - r) with the integer y above
     # mu.sqrt2 (so the remainder's sqrt2 part mu.sqrt2 - y is negative) and

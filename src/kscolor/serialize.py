@@ -76,6 +76,16 @@ def format_quad_token(q: QuadRational) -> str:
     return str(q)
 
 
+def _keyed(obj: dict, keys: tuple, read, what: str) -> list:
+    """``read`` of the value at each of ``keys`` in a keyed object such as
+    {"re": ..., "im": ...}: an absent key reads as 0, and a key not in
+    ``keys`` is refused."""
+    extra = obj.keys() - keys
+    if extra:
+        raise InvalidInputError(f"unexpected keys in {what}: {sorted(extra)}")
+    return [read(obj.get(k, 0)) for k in keys]
+
+
 def quad_to_obj(q: QuadRational):
     return {"rat": format_fraction(q.rat), "sqrt2": format_fraction(q.sqrt2)}
 
@@ -86,12 +96,7 @@ def quad_from_obj(obj) -> QuadRational:
     if isinstance(obj, int) and not isinstance(obj, bool):
         return QuadRational(obj)
     if isinstance(obj, dict):
-        extra = set(obj) - {"rat", "sqrt2"}
-        if extra:
-            raise InvalidInputError(f"unexpected keys in Q(sqrt2) scalar: {sorted(extra)}")
-        return QuadRational(
-            parse_fraction(obj.get("rat", 0)), parse_fraction(obj.get("sqrt2", 0))
-        )
+        return QuadRational(*_keyed(obj, ("rat", "sqrt2"), parse_fraction, "Q(sqrt2) scalar"))
     raise InvalidInputError(f"not a Q(sqrt2) scalar: {obj!r}")
 
 
@@ -103,12 +108,7 @@ def gaussian_from_obj(obj) -> GaussianRational:
     if isinstance(obj, (str, int)):
         return GaussianRational(parse_fraction(obj))
     if isinstance(obj, dict):
-        extra = set(obj) - {"re", "im"}
-        if extra:
-            raise InvalidInputError(f"unexpected keys in complex scalar: {sorted(extra)}")
-        return GaussianRational(
-            parse_fraction(obj.get("re", 0)), parse_fraction(obj.get("im", 0))
-        )
+        return GaussianRational(*_keyed(obj, ("re", "im"), parse_fraction, "complex scalar"))
     raise InvalidInputError(f"not a complex rational: {obj!r}")
 
 
@@ -120,12 +120,7 @@ def qcomplex_from_obj(obj) -> QuadComplex:
     if isinstance(obj, (str, int)):
         return QuadComplex(quad_from_obj(obj))
     if isinstance(obj, dict):
-        extra = set(obj) - {"re", "im"}
-        if extra:
-            raise InvalidInputError(f"unexpected keys in Q(sqrt2) complex: {sorted(extra)}")
-        return QuadComplex(
-            quad_from_obj(obj.get("re", 0)), quad_from_obj(obj.get("im", 0))
-        )
+        return QuadComplex(*_keyed(obj, ("re", "im"), quad_from_obj, "Q(sqrt2) complex"))
     raise InvalidInputError(f"not a Q(sqrt2) complex scalar: {obj!r}")
 
 

@@ -688,6 +688,23 @@ class TestByteStability:
             assert (got, out) == (code, "")
             assert message in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("rays", [
+        ["B 0 0", "0 B 0", "0 0 B"],
+        ["1/B 0 0", "0 1/B 0", "0 0 1/B"],
+        ["B 1 0", "-1 B 0", "0 0 1"],
+    ], ids=["huge", "tiny", "mixed"])
+    def test_ks_perturb_coordinates_beyond_binary64(self, tmp_path, rays):
+        """Coordinates of 10^400 and 10^-400, alone or beside 1, exit 0 as
+        ks-solve does: the float targets are read from the exact integers."""
+        path = tmp_path / "wide.rays"
+        lines = [f"ray r{k} {r.replace('B', '1' + '0' * 400)}" for k, r in enumerate(rays)]
+        path.write_text("\n".join(["rayset v1", "dimension 3", "field rational", *lines]) + "\n")
+        for command in ("ks-solve", "ks-perturb"):
+            code, out, err = run_main([command, str(path)])
+            assert code == 0, err
+        doc = json.loads(out)
+        assert doc["all_suitable"] is True and doc["all_shared_diverge"] is True
+
     def test_make_suitable_povm_bytes_pinned(self):
         """Pins the lattice point, the corner transfer and the serialized
         form of a 3x3, four-element complex POVM; the digest was recorded

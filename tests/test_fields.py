@@ -116,6 +116,28 @@ class TestRationalize:
                 )
 
 
+def _adjust_by_retry(r: Fraction, want_div3: bool, eps: Fraction) -> tuple[Fraction, int]:
+    """``adjust_denominator`` as a retry loop, and its number of passes (0
+    when r is returned unchanged): from the smallest N the bounds allow, N
+    grows until the candidate's reduced denominator and distance qualify."""
+    if (r.denominator % 3 == 0) == want_div3:
+        return r, 0
+    p, q = r.numerator, r.denominator
+    inv_eps = math.ceil(1 / eps)
+    if want_div3:
+        n = max(1, math.ceil(Fraction(inv_eps, 3 * q)))
+        candidate = lambda n: Fraction(3 * n * p + 1, 3 * n * q)
+    else:
+        n = max(1, math.ceil(Fraction(inv_eps - 1, q)),
+                math.ceil((Fraction(abs(p), q) / eps - 1) / q))
+        candidate = lambda n: Fraction(n * p, n * q + 1)
+    passes = 1
+    while (candidate(n).denominator % 3 == 0) != want_div3 or abs(candidate(n) - r) > eps:
+        n += 1
+        passes += 1
+    return candidate(n), passes
+
+
 class TestAdjustDenominator:
     def test_make_denominator_divisible_by_3(self):
         out = adjust_denominator(Fraction(1), True, Fraction(1, 2))
@@ -157,6 +179,27 @@ class TestAdjustDenominator:
             out = adjust_denominator(r, want, eps)
             assert abs(out - r) <= eps
             assert (out.denominator % 3 == 0) is want
+
+    def test_matches_the_retry_loop(self):
+        """The closed form equals the loop that starts at the same N and
+        increments it until the candidate qualifies, on 2,400 seeded
+        inputs: denominators carrying 3^0 to 3^3, |p| up to 10^12 of both
+        signs, eps from 10^-15 to 5, both targets.  The loop never takes a
+        second pass."""
+        rng = random.Random(28)
+        passes = set()
+        for case in range(2400):
+            k = case % 4
+            # p and m prime to 3, so the reduced denominator keeps 3^k
+            p, m = rng.choice((-1, 1)) * rng.randint(1, 10**12), rng.randint(1, 10**6)
+            r = Fraction(p + (p % 3 == 0), 3**k * (m + (m % 3 == 0)))
+            assert v3(r) == -k
+            eps = Fraction(rng.randint(1, 5000), 1000 * 10 ** rng.randint(0, 12))
+            for want in (True, False):
+                ref, n_passes = _adjust_by_retry(r, want, eps)
+                assert adjust_denominator(r, want, eps) == ref, (r, want, eps)
+                passes.add(n_passes)
+        assert passes == {0, 1}
 
 
 # Every public construction that takes an epsilon, called with valid other

@@ -52,6 +52,14 @@ def rational_rayset(vectors, dimension, labels=None):
 
 
 BASIS3 = rational_rayset([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+# Exactly orthogonal rational sets with coordinates outside the binary64
+# range: huge, tiny, and huge beside 1 in one ray.
+_BIG = 10**400
+OUT_OF_RANGE = {
+    "huge": [(_BIG, 0, 0), (0, _BIG, 0), (0, 0, _BIG)],
+    "tiny": [(Fraction(1, _BIG), 0, 0), (0, Fraction(1, _BIG), 0), (0, 0, Fraction(1, _BIG))],
+    "mixed": [(_BIG, 1, 0), (-1, _BIG, 0), (0, 0, 1)],
+}
 
 
 class TestRaySet:
@@ -618,6 +626,29 @@ class TestPerturb:
         rs = rational_rayset([(1, 0, 0), (0, 1, 0)], 3)
         with pytest.raises(InvalidInputError):
             perturb_to_suitable(rs, Fraction(1, 100))
+
+    @pytest.mark.parametrize("shape", sorted(OUT_OF_RANGE))
+    def test_coordinates_beyond_binary64(self, shape):
+        """Exact sets whose coordinates overflow or underflow binary64 (or
+        both, within one ray) perturb like the unit basis: their binary64
+        images normalize to it."""
+        eps = Fraction(1, 10**6)
+        report = perturb_to_suitable(rational_rayset(OUT_OF_RANGE[shape], 3), eps)
+        assert report.all_suitable and report.all_shared_diverge
+        assert all(c.max_dist2 <= eps * eps for c in report.contexts)
+        want = perturb_to_suitable(BASIS3, eps)
+        assert [c.frame for c in report.contexts] == [c.frame for c in want.contexts]
+
+    def test_power_of_two_scaling_changes_nothing(self):
+        """Every peres33 ray times 2^k, with k far past the binary64
+        exponent range, gives the frames of peres33 itself: the float
+        targets are exact scalings of one another."""
+        rs = load_builtin("peres33")
+        eps = Fraction(1, 10**4)
+        want = [c.frame for c in perturb_to_suitable(rs, eps).contexts]
+        for k in (-1100, -3, 5, 1100):
+            scaled = RaySet(3, [[e * Fraction(2) ** k for e in ray] for ray in rs.rays], rs.labels)
+            assert [c.frame for c in perturb_to_suitable(scaled, eps).contexts] == want, k
 
 
 def zero_pm1(n):

@@ -181,6 +181,31 @@ def test_only_record_module_guards_attributes():
     assert found == [("_record.py", "__setattr__"), ("_record.py", "__delattr__")]
 
 
+def _top_level_owners(wanted) -> list:
+    """(module file, top-level def or class) for each node of the package
+    source for which ``wanted(node)`` holds."""
+    src = Path(kscolor.__file__).resolve().parent
+    return [(path.name, top.name) for path in sorted(src.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            if hasattr(top, "name") for node in ast.walk(top) if wanted(node)]
+
+
+def test_one_operand_rule_and_one_keyed_reader():
+    """An ``except TypeError`` that returns NotImplemented is written once,
+    in ``fields._operand``, and the unknown-key refusal of {re, im} and
+    {rat, sqrt2} objects once, in ``serialize._keyed``."""
+    def not_implemented(node):
+        return (isinstance(node, ast.ExceptHandler)
+                and ast.unparse(node) == "except TypeError:\n    return NotImplemented")
+
+    def unexpected_keys(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "unexpected keys in" in node.value)
+
+    assert _top_level_owners(not_implemented) == [("fields.py", "_operand")]
+    assert _top_level_owners(unexpected_keys) == [("serialize.py", "_keyed")]
+
+
 def test_only_value_bases_define_equality_hash_and_reduce():
     """``__eq__`` and ``__hash__`` come from ``Record`` and the two-part
     scalar base alone, and ``__reduce__`` from those two and the
