@@ -182,9 +182,9 @@ def adjust_denominator(r, want_div3: bool, eps) -> Fraction:
     return Fraction(n * p, n * q + 1)
 
 
-def _quad_float(a: int, b: int, d: int) -> float:
-    """(a + b*sqrt2)/d rounded to binary64, for integers a, b and d > 0, to
-    about 96 bits before rounding: one correctly rounded integer division.
+def _quad_ratio(a: int, b: int, d: int) -> tuple[int, int]:
+    """Integers p and q != 0 with p/q = (a + b*sqrt2)/d to about 96 bits,
+    for integers a, b and d > 0.
 
     Parts of opposite sign go through (a^2 - 2b^2)/(a - b*sqrt2), whose
     numerator is exact and whose denominator adds like-signed terms, so
@@ -192,10 +192,10 @@ def _quad_float(a: int, b: int, d: int) -> float:
     never overflow.
     """
     if not b:
-        return a / d
+        return a, d
     if a and (a < 0) != (b < 0):
-        return (a * a - 2 * b * b) * _E / (d * (a * _E - b * _S))
-    return (a * _E + b * _S) / (d * _E)
+        return (a * a - 2 * b * b) * _E, d * (a * _E - b * _S)
+    return a * _E + b * _S, d * _E
 
 
 def _sqrt2_sign(a, b) -> int:
@@ -309,6 +309,7 @@ class _Pair(Frozen):
         return f"{type(self).__name__}({self._a!r}, {self._b!r})"
 
 
+@functools.total_ordering
 class QuadRational(_Pair):
     """Exact real number a + b*sqrt(2) with rational a and b.
 
@@ -344,28 +345,17 @@ class QuadRational(_Pair):
         return _sqrt2_sign(self.rat, self.sqrt2)
 
     def __lt__(self, other):
-        o = QuadRational._coerce(other)
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = QuadRational._coerce(other)
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = QuadRational._coerce(other)
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = QuadRational._coerce(other)
-        return (self - o).sign() >= 0
+        return (self - QuadRational._coerce(other)).sign() < 0
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def to_float(self) -> float:
-        """a + b*sqrt2 rounded to binary64 by ``_quad_float``."""
+        """a + b*sqrt2 rounded to binary64: one correctly rounded division
+        of the ``_quad_ratio`` integers."""
         (a, p), (b, q) = self.rat.as_integer_ratio(), self.sqrt2.as_integer_ratio()
-        return _quad_float(a * q, b * p, p * q)
+        num, den = _quad_ratio(a * q, b * p, p * q)
+        return num / den
 
     def __str__(self):
         """The compact token that ``serialize.parse_quad_token`` reads:

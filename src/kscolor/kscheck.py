@@ -11,14 +11,15 @@ when the set is parsed or constructed.  ``build_graph`` reads those
 integers on the slots the set uses, clearing nothing, tests each pair with
 up to four integer sums, stopping at the first nonzero one, and finds the
 contexts by clique extension over neighbor bitmasks.  ``find_ks_coloring``
-decides colorability by backtracking with unit propagation;
-``brute_force_coloring`` is the independent cross-check for small
-instances.  ``perturb_to_suitable`` replaces every context by a nearby
-exactly-suitable frame, showing how shared rays diverge into per-context
-copies: one pass at per-context lattice scales, then at most one
-deterministic repair of the contexts whose copies coincide, checked by
-canonical ray keys.  Each ray's float target is read once from its stored
-integers over a power of two, so rays of any size perturb.
+decides colorability by backtracking with unit propagation, a pending
+decision being two n-bit ints, the TRUE and the FALSE rays;
+``brute_force_coloring`` is the independent cross-check for small instances.
+``perturb_to_suitable`` replaces every context by a nearby exactly-suitable
+frame, showing how shared rays diverge into per-context copies: one pass at
+per-context lattice scales, then at most one deterministic repair of the
+contexts whose copies coincide, checked by canonical ray keys.  Each ray's
+float target is read once from its stored integers over a power of two, so
+rays of any size or cancellation perturb.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from ._record import Record
 from .coloring import TruthValue
 from .density import _frame_near, _scale
 from .errors import InvalidInputError, ResourceLimitError
-from .fields import QuadComplex, QuadRational, _coerce_eps, _quad_float
+from .fields import QuadComplex, QuadRational, _coerce_eps, _quad_ratio
 from .linalg import Frame, _cleared, _ray_key
 from .serialize import _quad_parts, format_quad_token
 
@@ -123,12 +124,6 @@ class RaySet(Record):
 
     def __len__(self):
         return len(self.cleared)
-
-    def ray_floats(self, k: int) -> list[float]:
-        """The 2n interleaved real float coordinates of ray k, each as
-        ``QuadRational.to_float`` rounds it."""
-        x, d = self.cleared[k]
-        return [_quad_float(x[j], x[j + 1], d) for j in range(0, len(x), 2)]
 
     def is_rational(self) -> bool:
         return not any(any(x[1::2]) for x, _ in self.cleared)
@@ -233,66 +228,68 @@ def is_valid_coloring(g: OrthGraph, assignment) -> bool:
     return True
 
 
-def _propagate(g: OrthGraph, state: list) -> bool:
-    changed = True
-    while changed:
-        changed = False
-        for i in range(g.num_rays):
-            if state[i] == 1:
-                for j in g.neighbors[i]:
-                    if state[j] == 1:
-                        return False
-                    if state[j] is None:
-                        state[j] = 0
-                        changed = True
-        for ctx in g.contexts:
-            ones = 0
-            unknown = []
-            for i in ctx:
-                if state[i] == 1:
-                    ones += 1
-                elif state[i] is None:
-                    unknown.append(i)
-            if ones > 1:
-                return False
-            if ones == 1:
-                for i in unknown:
-                    state[i] = 0
-                    changed = True
-            elif not unknown:
-                return False
-            elif len(unknown) == 1:
-                state[unknown[0]] = 1
-                changed = True
-    return True
+def _propagate(nbr: list, ctxs: list, true: int, false: int) -> tuple[int, int] | None:
+    """The fixpoint of unit propagation from the TRUE rays ``true`` and the
+    FALSE rays ``false``, or None on a conflict.  Rays are bits: ``nbr``
+    holds each ray's neighbor mask and ``ctxs`` each context's mask.  A 1
+    zeroes its neighbors, two 1s in a context fail, a 1 zeroes the rest of
+    its context, a context with no 1 and one undecided ray forces that ray
+    to 1, and a context fully 0 fails."""
+    spread = 0  # the TRUE rays whose neighbors are FALSE already
+    while True:
+        fresh = true & ~spread
+        spread = true
+        while fresh:
+            low = fresh & -fresh
+            false |= nbr[low.bit_length() - 1]
+            fresh ^= low
+        if true & false:
+            return None
+        before = true, false
+        for c in ctxs:
+            on = c & true
+            if on:
+                if on & (on - 1):
+                    return None
+                false |= c & ~on
+            else:
+                free = c & ~false
+                if not free:
+                    return None
+                if not free & (free - 1):
+                    true |= free
+        if (true, false) == before:
+            return true, false
 
 
 def find_ks_coloring(g: OrthGraph) -> dict[int, int] | None:
     """A valid coloring, or None when the constraints are unsatisfiable.
 
-    Backtracking with unit propagation: a 1 zeroes its neighbors, a context
-    with one undecided ray and no 1 forces that ray to 1, a context fully 0
-    fails.  Branch order is most-constrained-ray first (most contexts, then
-    highest degree, then lowest index), trying 1 before 0; the SAT/UNSAT
-    verdict does not depend on this order.  Memory grows with the depth
-    times the ray count, one pending state per decision.
+    Backtracking with unit propagation (``_propagate``).  Branch order is
+    most-constrained-ray first (most contexts, then highest degree, then
+    lowest index), trying 1 before 0; the SAT/UNSAT verdict does not depend
+    on this order.  A pending decision is two n-bit ints, the TRUE and the
+    FALSE rays, so memory grows with the depth times the ray count.
     """
     ctx_count = Counter(itertools.chain.from_iterable(g.contexts))
+    order = sorted(range(g.num_rays), key=lambda i: (-ctx_count[i], -len(g.neighbors[i]), i))
+    bit = {i: 1 << p for p, i in enumerate(order)}  # bits in branch order
+    nbr = [sum(map(bit.__getitem__, g.neighbors[i])) for i in order]
+    ctxs = [sum(map(bit.__getitem__, ctx)) for ctx in g.contexts]
     # Depth-first over an explicit stack, so depth is not bounded by the
     # recursion limit: a branch pushes its 0 child under its 1 child, and
     # the 1 child's whole subtree pops before the 0 child.
-    stack = [[None] * g.num_rays]
+    stack = [(0, 0)]
     while stack:
-        state = stack.pop()
-        if not _propagate(g, state):
+        state = _propagate(nbr, ctxs, *stack.pop())
+        if state is None:
             continue
-        free = [i for i in range(g.num_rays) if state[i] is None]
-        if not free:
-            return dict(enumerate(state))
-        pick = max(free, key=lambda i: (ctx_count[i], len(g.neighbors[i]), -i))
-        zero = state.copy()
-        zero[pick], state[pick] = 0, 1
-        stack += (zero, state)
+        true, false = state
+        decided = true | false
+        pick = ~decided & (decided + 1)  # the lowest undecided bit
+        if pick >> g.num_rays:
+            return {i: 1 if true & bit[i] else 0 for i in range(g.num_rays)}
+        stack += ((true, false | pick), (true | pick, false))
     return None
 
 
@@ -365,12 +362,12 @@ def perturb_to_suitable(rs: RaySet, eps) -> NullificationReport:
     scale = _scale(eps, 2 * n, 4 * n)
     targets = {}
     for i in set().union(*g.contexts):
-        # The ray over 2^s, s about log2 of its largest part: exact in binary64,
-        # and it brings the floats near 1 whatever the size of the ray.
+        # Each coordinate p/q over 2^s, s about log2 of the largest value: an
+        # exact binary64 scaling that brings the floats near 1, whatever the parts.
         x, d = rs.cleared[i]
-        s = max(map(abs, x)).bit_length() - d.bit_length()
-        x, d = (x, d << s) if s >= 0 else ([c << -s for c in x], d)
-        v = [_quad_float(x[j], x[j + 1], d) for j in range(0, len(x), 2)]
+        pq = [_quad_ratio(x[j], x[j + 1], d) for j in range(0, len(x), 2)]
+        s = max(p.bit_length() - q.bit_length() for p, q in pq if p)
+        v = [p / (q << s) if s >= 0 else (p << -s) / q for p, q in pq]
         nrm = math.sqrt(sum(c * c for c in v))
         targets[i] = _cleared([c / nrm for c in v])[0]
 

@@ -35,6 +35,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import mul
 
 from ._record import Items, Record
 from .coloring import TruthValue
@@ -44,7 +45,7 @@ from .errors import (
     NotApplicableError,
     ResourceLimitError,
 )
-from .fields import QuadRational, _coerce_eps, _sqrt2_sign, format_fraction, rationalize
+from .fields import QuadComplex, QuadRational, _coerce_eps, _sqrt2_sign, format_fraction, rationalize
 from .linalg import (QuadHermitian, _cleared, _psd_cleared, _round_div, _sums_to_identity,
                      psd_check)
 
@@ -204,6 +205,8 @@ def _as_complex_matrix(t, what: str) -> list[list[complex]]:
                 z = complex(float(e), 0.0)
             elif isinstance(e, (tuple, list)) and len(e) == 2:
                 z = complex(float(e[0]), float(e[1]))
+            elif isinstance(e, QuadComplex):
+                z = e.to_complex()
             else:
                 raise InvalidInputError(f"{what} has a non-numeric entry: {e!r}")
             if not (math.isfinite(z.real) and math.isfinite(z.imag)):
@@ -244,33 +247,29 @@ def _float_psd_within(rows: list[list[complex]], t: list, k: int, tol: float) ->
     h = [[(ar + br, ai - bi) for (ar, ai), (br, bi) in zip(row, col)]
          for row, col in zip(t, zip(*t))]
 
-    def shifted(part, diag: int) -> bool:
-        return _psd_cleared([[(part(re) + diag * (i == j), 0, part(im), 0)
+    def shifted(part, q: int, diag: int) -> bool:
+        return _psd_cleared([[(part(re, q) + diag * (i == j), 0, part(im, q), 0)
                               for j, (re, im) in enumerate(row)] for i, row in enumerate(h)])
 
-    if cut > 0:
-        half = 1 << (cut - 1)
-
-        def near(v: int) -> int:  # half away from zero: odd, so the matrix stays Hermitian
-            return (v + half) >> cut if v >= 0 else -((half - v) >> cut)
-
-        if shifted(near, (sp << b) // sq - n):
-            return True
-    return shifted(lambda v: v * sq, sp << (k + 1))
+    # Ties to even is an odd rule, so the rounded matrix stays Hermitian.
+    if cut > 0 and shifted(_round_div, 1 << cut, (sp << b) // sq - n):
+        return True
+    return shifted(mul, sq, sp << (k + 1))
 
 
 def _validate_povm_targets(targets) -> tuple[list, list, int]:
     """The binary64 targets, checked, with their ``_dyadic`` integers."""
-    mats = [_as_complex_matrix(t, f"target {k}") for k, t in enumerate(targets)]
-    if not mats:
-        raise InvalidInputError("at least one target matrix is required")
-    n = len(mats[0])
-    if n < 1 or any(len(m) != n for m in mats):
-        raise InvalidInputError("all target matrices must share one dimension")
-    ints, bits = _dyadic(mats)
-    # abs() of a complex with finite parts raises OverflowError when the
-    # modulus is beyond binary64; no such target is near a POVM.
+    # An int or exact entry beyond binary64 raises OverflowError when read,
+    # as does abs() of a complex whose modulus is; no such target is near a
+    # POVM.
     try:
+        mats = [_as_complex_matrix(t, f"target {k}") for k, t in enumerate(targets)]
+        if not mats:
+            raise InvalidInputError("at least one target matrix is required")
+        n = len(mats[0])
+        if n < 1 or any(len(m) != n for m in mats):
+            raise InvalidInputError("all target matrices must share one dimension")
+        ints, bits = _dyadic(mats)
         for k, m in enumerate(mats):
             # |a - conj(b)| = |b - conj(a)| exactly in binary64: i <= j suffices.
             for i in range(n):
@@ -369,11 +368,7 @@ def make_suitable_near(targets, eps, allow_split: bool = False) -> PovmDecomposi
         except InvalidInputError:
             pass
         # Exact but not already suitable: perturb through the float path.
-        targets = [
-            [[e.to_complex() for e in row]
-             for row in (t.matrix if isinstance(t, PovmElement) else t).rows]
-            for t in targets
-        ]
+        targets = [(t.matrix if isinstance(t, PovmElement) else t).rows for t in targets]
     mats, ints, bits = _validate_povm_targets(targets)
     eps = _coerce_eps(eps)
     m = len(mats)

@@ -705,6 +705,21 @@ class TestByteStability:
         doc = json.loads(out)
         assert doc["all_suitable"] is True and doc["all_shared_diverge"] is True
 
+    def test_ks_perturb_coordinate_cancelling_far_below_its_parts(self, tmp_path):
+        """A coordinate (1 - s2)^900, about 10^-344 with parts of about
+        10^344, exits 0 as ks-solve does."""
+        p, q = 1, 0
+        for _ in range(900):
+            p, q = p - 2 * q, q - p  # times (1 - s2)
+        path = tmp_path / "cancel.rays"
+        path.write_text("\n".join(["rayset v1", "dimension 3", "field quad2",
+                                   f"ray a {p}{q:+d}s2 0 0", "ray b 0 1 0", "ray c 0 0 1"]) + "\n")
+        for command in ("ks-solve", "ks-perturb"):
+            code, out, err = run_main([command, str(path)])
+            assert code == 0, err
+        doc = json.loads(out)
+        assert doc["all_suitable"] is True and doc["all_shared_diverge"] is True
+
     def test_make_suitable_povm_bytes_pinned(self):
         """Pins the lattice point, the corner transfer and the serialized
         form of a 3x3, four-element complex POVM; the digest was recorded

@@ -175,9 +175,9 @@ class TestRaySet:
         assert load_rayset(text).cleared == (((6, 0, 0, 0, 0, 9, -4, 0), 12),)
 
     def test_ray_floats_match_the_fraction_rule(self):
-        """``ray_floats`` and ``to_float`` give, bit for bit, the floats of
-        the rule they replace: binary64 of a + b*S/E, or of (a^2 - 2b^2) /
-        (a - b*S/E) for parts of opposite sign, on ``Fraction``s."""
+        """``to_float`` gives, bit for bit, the floats of the rule it
+        replaces: binary64 of a + b*S/E, or of (a^2 - 2b^2) / (a - b*S/E)
+        for parts of opposite sign, on ``Fraction``s."""
         rng = random.Random(64)
 
         def part():
@@ -208,7 +208,6 @@ class TestRaySet:
         for k, ray in enumerate(rs.rays):
             parts = [p for e in ray for p in (e.re, e.im)]
             want = [_reference_to_float(p).hex() for p in parts]
-            assert [f.hex() for f in rs.ray_floats(k)] == want
             assert [p.to_float().hex() for p in parts] == want
 
 
@@ -532,6 +531,46 @@ class TestSolver:
         assert colorings == [_reference_find_ks_coloring(g) for g in graphs]
         assert colorings[0] is None and sum(c is not None for c in colorings) > 20
 
+    def test_matches_reference_on_non_clique_contexts(self):
+        """Hand-built graphs whose contexts are not cliques of the neighbor
+        sets, so that every propagation rule, two 1s in one context
+        included, decides some verdict: the same colorings as the list
+        reference, and the same SAT/UNSAT verdicts as brute force.  From a
+        random partial state, ``_propagate`` (bits in ray order) reaches the
+        reference's fixpoint or conflict, so a rule that only prunes the
+        search, and so changes no coloring, is checked too."""
+        rng = random.Random(2306)
+        verdicts, fixpoints = [], 0
+        for _ in range(2000):
+            n = rng.randint(2, 14)
+            pairs = tuple(p for p in itertools.combinations(range(n), 2)
+                          if rng.random() < 0.15)
+            nbr = [set() for _ in range(n)]
+            for i, j in pairs:
+                nbr[i].add(j)
+                nbr[j].add(i)
+            contexts = tuple(tuple(sorted(rng.sample(range(n), rng.randint(2, min(4, n)))))
+                             for _ in range(rng.randint(1, n)))
+            g = OrthGraph(dimension=3, num_rays=n, pairs=pairs,
+                          neighbors=tuple(map(frozenset, nbr)), contexts=contexts)
+            coloring = find_ks_coloring(g)
+            assert coloring == _reference_find_ks_coloring(g)
+            assert (coloring is None) == (brute_force_coloring(g) is None)
+            assert coloring is None or is_valid_coloring(g, coloring)
+            verdicts.append(coloring is None)
+            state = [rng.choice((None, None, 0, 1)) for _ in range(n)]
+
+            def bits(v):
+                return sum(1 << i for i, s in enumerate(state) if s == v)
+
+            masks = [sum(map((1).__lshift__, s)) for s in (*nbr, *contexts)]
+            got = kscheck._propagate(masks[:n], masks[n:], bits(1), bits(0))
+            ok = _reference_propagate(g, state)
+            assert got == ((bits(1), bits(0)) if ok else None)
+            fixpoints += ok
+        assert 300 < sum(verdicts) < 1700
+        assert 300 < fixpoints < 1700
+
     @pytest.mark.parametrize("n, bound", [(1100, 20), (2000, 40)])
     def test_search_deeper_than_the_recursion_limit(self, n, bound):
         """(1, k, 0) for k = 1..n: no two rays are orthogonal, so every ray
@@ -560,12 +599,49 @@ class TestSolver:
             assert find_ks_coloring(build_graph(shuffled)) is None
 
 
+def _reference_propagate(g, state):
+    """Unit propagation on a list of 0, 1 or None per ray, rescanning every
+    ray and every context until nothing changes; False on a conflict."""
+    changed = True
+    while changed:
+        changed = False
+        for i in range(g.num_rays):
+            if state[i] == 1:
+                for j in g.neighbors[i]:
+                    if state[j] == 1:
+                        return False
+                    if state[j] is None:
+                        state[j] = 0
+                        changed = True
+        for ctx in g.contexts:
+            ones = 0
+            unknown = []
+            for i in ctx:
+                if state[i] == 1:
+                    ones += 1
+                elif state[i] is None:
+                    unknown.append(i)
+            if ones > 1:
+                return False
+            if ones == 1:
+                for i in unknown:
+                    state[i] = 0
+                    changed = True
+            elif not unknown:
+                return False
+            elif len(unknown) == 1:
+                state[unknown[0]] = 1
+                changed = True
+    return True
+
+
 def _reference_find_ks_coloring(g):
-    """``find_ks_coloring`` with its counts read by ``context_count``."""
+    """``find_ks_coloring`` on a list state, recursively, with its counts
+    read by ``context_count``."""
     ctx_count = [g.context_count(i) for i in range(g.num_rays)]
 
     def search(state):
-        if not kscheck._propagate(g, state):
+        if not _reference_propagate(g, state):
             return None
         free = [i for i in range(g.num_rays) if state[i] is None]
         if not free:
@@ -636,6 +712,21 @@ class TestPerturb:
         report = perturb_to_suitable(rational_rayset(OUT_OF_RANGE[shape], 3), eps)
         assert report.all_suitable and report.all_shared_diverge
         assert all(c.max_dist2 <= eps * eps for c in report.contexts)
+        want = perturb_to_suitable(BASIS3, eps)
+        assert [c.frame for c in report.contexts] == [c.frame for c in want.contexts]
+
+    def test_coordinate_cancelling_far_below_its_parts(self):
+        """((1 - s2)^900, 0, 0) is about 10^-344 with parts of about 10^344:
+        its float target follows the value, not the parts, so the set
+        perturbs like the unit basis."""
+        p, q = 1, 0
+        for _ in range(900):
+            p, q = p - 2 * q, q - p  # times (1 - s2)
+        tiny = QuadComplex(QuadRational(p, q))
+        rs = RaySet(3, [(tiny, 0, 0), (0, 1, 0), (0, 0, 1)])
+        eps = Fraction(1, 10**6)
+        report = perturb_to_suitable(rs, eps)
+        assert report.all_suitable and report.all_shared_diverge
         want = perturb_to_suitable(BASIS3, eps)
         assert [c.frame for c in report.contexts] == [c.frame for c in want.contexts]
 

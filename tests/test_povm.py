@@ -658,6 +658,14 @@ class TestMakeSuitableNear:
         with pytest.raises(InvalidInputError, match="overflow"):
             make_suitable_near(targets, Fraction(1, 100))
 
+    @pytest.mark.parametrize("exact", [True, False], ids=["quad", "int"])
+    def test_exact_entries_beyond_binary64_are_invalid(self, exact):
+        # 10^400 and 1 - 10^400 sum to I but have no binary64 image.
+        entries = [10**400, 1 - 10**400]
+        targets = [QuadHermitian([[e]]) if exact else [[e]] for e in entries]
+        with pytest.raises(InvalidInputError, match="overflow"):
+            make_suitable_near(targets, "1/100")
+
     def test_exact_input_with_tiny_element(self):
         # {A/2, A/2, tJ}, A = I - tJ, t = (sqrt2 - 1)^40: exact, with two TRUE
         # elements, so it is perturbed through binary64 images of its entries.
