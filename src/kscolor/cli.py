@@ -12,6 +12,11 @@ like ``1/3`` or ``1/2-1/3s2`` need no quotes, and quoted strings take JSON
 escapes; ``@path`` reads the value from a file and ``-`` from stdin.
 Ray-set arguments name a file, or one of the bundled sets (``peres33``,
 ``peres24``) when no such file exists. ``gen-*`` sizes are capped at 64.
+
+Each subcommand takes ``--format`` and only the flags its handler reads
+(``_COMMANDS``): ``--epsilon`` for the constructions, ``--dimension`` and
+``--seed`` for ``gen-*``, ``--elements`` for ``gen-povm``, ``--allow-split``
+for ``make-suitable-povm``. Any other flag is an argument error (exit 2).
 """
 
 from __future__ import annotations
@@ -176,11 +181,15 @@ def _complex_entry(e) -> complex:
     return complex(_real_number(e), 0.0)
 
 
+def _gen_value(obj, key: str):
+    """The value under ``key`` of a ``gen-*`` document, or obj as given."""
+    return obj[key] if isinstance(obj, dict) and key in obj else obj
+
+
 def _povm_targets_in(obj):
     if isinstance(obj, dict) and obj.get("kind") == "povm":
         return povm_from_obj(obj)
-    if isinstance(obj, dict) and "elements" in obj:
-        obj = obj["elements"]
+    obj = _gen_value(obj, "elements")
     if not isinstance(obj, list) or not obj:
         raise InvalidInputError(
             "expected a POVM object or a non-empty array of target matrices"
@@ -271,18 +280,13 @@ def _cmd_classify_povm(args) -> dict:
 
 
 def _cmd_approx_true(args) -> dict:
-    obj = _read_value(args.vector)
-    if isinstance(obj, dict) and "target" in obj:
-        obj = obj["target"]
-    target = _float_target(obj)
+    target = _float_target(_gen_value(_read_value(args.vector), "target"))
     res = nearest_true_ray(target, args.epsilon)
     return _approx_vector_obj(res)
 
 
 def _cmd_suitable_frame(args) -> dict:
-    obj = _read_value(args.frame)
-    if isinstance(obj, dict) and "targets" in obj:
-        obj = obj["targets"]
+    obj = _gen_value(_read_value(args.frame), "targets")
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise InvalidInputError("expected an array of target vectors")
     targets = [_float_target(r) for r in obj]
@@ -297,10 +301,7 @@ def _cmd_suitable_frame(args) -> dict:
 
 
 def _cmd_false_ray(args) -> dict:
-    obj = _read_value(args.vector)
-    if isinstance(obj, dict) and "target" in obj:
-        obj = obj["target"]
-    target = _float_target(obj)
+    target = _float_target(_gen_value(_read_value(args.vector), "target"))
     res = false_ray_near(target, args.epsilon)
     out = _approx_vector_obj(res)
     out["witness"] = frame_to_obj(res.witness)
@@ -476,6 +477,50 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+# The add_argument keywords of each flag.
+_FLAGS = {
+    "--epsilon": dict(type=_fraction_flag, default=Fraction(1, 10**6),
+                      help="approximation radius (default 1e-6)"),
+    "--dimension": dict(type=int, default=3, help="dimension for generators"),
+    "--seed": dict(type=int, default=0, help="seed for gen-* subcommands"),
+    "--elements": dict(type=int, default=3, help="number of elements"),
+    "--allow-split": dict(action="store_true", help="permit appending one extra "
+                          "element when no donor pair exists"),
+    "--format": dict(choices=_FORMATS, default=None,
+                     help="output format (default json, or KSCOLOR_FORMAT)"),
+}
+_EPS = ("--epsilon",)
+_GEN = ("--dimension", "--seed")
+_RAYS = ("rayset", "ray-set file, or bundled set name")
+_TARGET = ("vector", "2n real float coordinates of the target ray")
+
+# One row per subcommand, in --help order: name, help, positional argument
+# (name, help) or None, and the flags its handler _cmd_<name> ("-" as "_")
+# reads. Every subcommand also takes --format; any other flag exits 2.
+_COMMANDS = (
+    ("classify-ray", "truth value of a ray",
+     ("vector", "2n exact real coordinates, e.g. [1/3,1/2,...]"), ()),
+    ("classify-matrix", "truth value of a projection representative",
+     ("matrix", "matrix rows, or {kind:projection,matrix:...}"), ()),
+    ("classify-povm", "truth value of a POVM element, with witness",
+     ("element", "Hermitian Q(sqrt2) matrix rows"), ()),
+    ("approx-true", "nearest TRUE ray within epsilon", _TARGET, _EPS),
+    ("suitable-frame", "suitable exact frame within epsilon",
+     ("frame", "array of n nearly-orthonormal target vectors"), _EPS),
+    ("false-ray", "FALSE ray within epsilon, with witness frame", _TARGET, _EPS),
+    ("make-suitable-povm", "suitable POVM within epsilon",
+     ("decomposition", "file with target matrices (@path, path or inline)"),
+     _EPS + ("--allow-split",)),
+    ("verify-decomposition", "truth sum of a frame or POVM",
+     ("object", "frame or POVM object (@path, path or inline)"), ()),
+    ("ks-solve", "exact coloring search on a ray set", _RAYS, ()),
+    ("ks-perturb", "per-context suitable perturbation report", _RAYS, _EPS),
+    ("gen-ray", "random unit-vector target (seeded)", None, _GEN),
+    ("gen-frame", "random orthonormal frame target (seeded)", None, _GEN),
+    ("gen-povm", "random POVM target (seeded)", None, _GEN + ("--elements",)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="kscolor",
@@ -483,75 +528,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "POVMs, with finite-precision perturbation of Kochen-Specker sets.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--epsilon",
-        type=_fraction_flag,
-        default=Fraction(1, 10**6),
-        help="approximation radius (default 1e-6)",
-    )
-    common.add_argument(
-        "--dimension", type=int, default=3, help="dimension for generators"
-    )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for gen-* subcommands"
-    )
-    common.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=None,
-        help="output format (default json, or KSCOLOR_FORMAT)",
-    )
-
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
     sub.required = True
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("classify-ray", _cmd_classify_ray, "truth value of a ray")
-    p.add_argument("vector", help="2n exact real coordinates, e.g. [1/3,1/2,...]")
-
-    p = add("classify-matrix", _cmd_classify_matrix, "truth value of a projection representative")
-    p.add_argument("matrix", help="matrix rows, or {kind:projection,matrix:...}")
-
-    p = add("classify-povm", _cmd_classify_povm, "truth value of a POVM element, with witness")
-    p.add_argument("element", help="Hermitian Q(sqrt2) matrix rows")
-
-    p = add("approx-true", _cmd_approx_true, "nearest TRUE ray within epsilon")
-    p.add_argument("vector", help="2n real float coordinates of the target ray")
-
-    p = add("suitable-frame", _cmd_suitable_frame, "suitable exact frame within epsilon")
-    p.add_argument("frame", help="array of n nearly-orthonormal target vectors")
-
-    p = add("false-ray", _cmd_false_ray, "FALSE ray within epsilon, with witness frame")
-    p.add_argument("vector", help="2n real float coordinates of the target ray")
-
-    p = add("make-suitable-povm", _cmd_make_suitable_povm, "suitable POVM within epsilon")
-    p.add_argument("decomposition", help="file with target matrices (@path, path or inline)")
-    p.add_argument(
-        "--allow-split",
-        action="store_true",
-        help="permit appending one extra element when no donor pair exists",
-    )
-
-    p = add("verify-decomposition", _cmd_verify_decomposition, "truth sum of a frame or POVM")
-    p.add_argument("object", help="frame or POVM object (@path, path or inline)")
-
-    p = add("ks-solve", _cmd_ks_solve, "exact coloring search on a ray set")
-    p.add_argument("rayset", help="ray-set file, or bundled set name")
-
-    p = add("ks-perturb", _cmd_ks_perturb, "per-context suitable perturbation report")
-    p.add_argument("rayset", help="ray-set file, or bundled set name")
-
-    p = add("gen-ray", _cmd_gen_ray, "random unit-vector target (seeded)")
-    p = add("gen-frame", _cmd_gen_frame, "random orthonormal frame target (seeded)")
-    p = add("gen-povm", _cmd_gen_povm, "random POVM target (seeded)")
-    p.add_argument("--elements", type=int, default=3, help="number of elements")
-
+    for name, help_text, positional, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=globals()["_cmd_" + name.replace("-", "_")])
+        if positional:
+            p.add_argument(positional[0], help=positional[1])
+        for flag in flags + ("--format",):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -94,6 +94,9 @@ class RaySet(Record):
                 raise InvalidInputError("one label per ray is required")
             if len(set(labels)) != len(labels):
                 raise InvalidInputError("ray labels must be unique")
+            # The text format splits a ray line at whitespace.
+            if any(label.split() != [label] for label in labels):
+                raise InvalidInputError("ray labels must be non-empty, without whitespace")
         rs = object.__new__(cls)
         object.__setattr__(rs, "dimension", dimension)
         object.__setattr__(rs, "cleared", forms)

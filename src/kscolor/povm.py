@@ -35,7 +35,6 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cmp_to_key
-from operator import mul
 
 from ._record import Items, Record
 from .coloring import TruthValue
@@ -246,15 +245,19 @@ def _float_psd_within(rows: list[list[complex]], t: list, k: int, tol: float) ->
     cut = k + 1 - b
     h = [[(ar + br, ai - bi) for (ar, ai), (br, bi) in zip(row, col)]
          for row, col in zip(t, zip(*t))]
-
-    def shifted(part, q: int, diag: int) -> bool:
-        return _psd_cleared([[(part(re, q) + diag * (i == j), 0, part(im, q), 0)
-                              for j, (re, im) in enumerate(row)] for i, row in enumerate(h)])
-
-    # Ties to even is an odd rule, so the rounded matrix stays Hermitian.
-    if cut > 0 and shifted(_round_div, 1 << cut, (sp << b) // sq - n):
-        return True
-    return shifted(mul, sq, sp << (k + 1))
+    if cut > 0:
+        # The lower triangle, rounded, and its conjugate mirror above.
+        q, c = 1 << cut, (sp << b) // sq - n
+        short = [[None] * n for _ in range(n)]
+        for i, row in enumerate(h):
+            for j in range(i + 1):
+                re, im = _round_div(row[j][0], q) + c * (i == j), _round_div(row[j][1], q)
+                short[i][j], short[j][i] = (re, 0, im, 0), (re, 0, -im, 0)
+        if _psd_cleared(short):
+            return True
+    diag = sp << (k + 1)  # s over the exact matrix's denominator 2^(k+1)*sq
+    return _psd_cleared([[(re * sq + diag * (i == j), 0, im * sq, 0)
+                          for j, (re, im) in enumerate(row)] for i, row in enumerate(h)])
 
 
 def _validate_povm_targets(targets) -> tuple[list, list, int]:

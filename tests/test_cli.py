@@ -1,6 +1,7 @@
 """Command-line interface: output bytes, exit codes, formats, input
 conventions, and seeded generators."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -356,6 +357,60 @@ class TestExitCodes:
         assert "exponent" in doc["error"]
 
 
+# The flags each subcommand's handler reads, besides --format, which all take.
+_READS = {
+    "classify-ray": (), "classify-matrix": (), "classify-povm": (),
+    "approx-true": ("--epsilon",), "suitable-frame": ("--epsilon",),
+    "false-ray": ("--epsilon",), "make-suitable-povm": ("--epsilon", "--allow-split"),
+    "verify-decomposition": (), "ks-solve": (), "ks-perturb": ("--epsilon",),
+    "gen-ray": ("--dimension", "--seed"), "gen-frame": ("--dimension", "--seed"),
+    "gen-povm": ("--dimension", "--seed", "--elements"),
+}
+_VALID = {"--epsilon": ["1/100"], "--dimension": ["4"], "--seed": ["7"],
+          "--elements": ["2"], "--allow-split": [], "--format": ["text"]}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", sorted(_VALID))
+    @pytest.mark.parametrize("command", sorted(_READS))
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, command, flag):
+        argv = [command] + ([] if command.startswith("gen-") else ["x"]) + [flag] + _VALID[flag]
+        if flag == "--format" or flag in _READS[command]:
+            args = cli._build_parser().parse_args(argv)
+            assert args.func is getattr(cli, "_cmd_" + command.replace("-", "_"))
+            assert getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+            return
+        code, out, err = run_main(argv)
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["type"] == "InvalidInputError"
+        assert flag in doc["error"]
+
+    def test_flag_slots(self):
+        """13 --format, 5 --epsilon, 3 each of --dimension and --seed, one
+        each of --elements and --allow-split: 26 option slots in all."""
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == _SUBCOMMANDS
+        slots = {name: sorted(a.dest for a in p._actions if a.option_strings and a.dest != "help")
+                 for name, p in sub.choices.items()}
+        assert slots == {c: sorted(f[2:].replace("-", "_") for f in _READS[c] + ("--format",))
+                         for c in _READS}
+        assert sum(map(len, slots.values())) == 26
+
+    def test_top_level_help_bytes_pinned(self, monkeypatch, capsys):
+        # Names, help strings and order of the subcommands, as argparse of
+        # CPython 3.11 lays them out at 80 columns.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+            "fd385c4d8091b0dca7f32a3db43c8e2bc398ae398063f2b57a570558af9fa6c0"
+        )
+
+
 class TestFormats:
     def test_text_format(self):
         code, out, _ = run_main(["classify-ray", TRUE_RAY_ARG, "--format", "text"])
@@ -622,9 +677,12 @@ class TestGenerators:
         assert json.loads(out)["sum"] == 1
 
     def test_seed_does_not_affect_deterministic_commands(self):
-        _, a, _ = run_main(["classify-ray", TRUE_RAY_ARG, "--seed", "1"])
-        _, b, _ = run_main(["classify-ray", TRUE_RAY_ARG, "--seed", "99"])
-        assert a == b
+        # classify-ray reads no seed, so --seed is refused, not ignored.
+        for value in ("1", "99"):
+            code, out, err = run_main(["classify-ray", TRUE_RAY_ARG, "--seed", value])
+            assert code == 2
+            assert out == ""
+            assert "--seed" in json.loads(err)["error"]
 
 
 class TestByteStability:

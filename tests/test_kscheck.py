@@ -88,6 +88,16 @@ class TestRaySet:
         with pytest.raises(InvalidInputError):
             rational_rayset([(1, 0, 0), (0, 1, 0)], 3, labels=["a", "a"])
 
+    @pytest.mark.parametrize("label", ["", "a b", " a", "a\t", "a\nb", "a\u2028b", "\x1c"])
+    def test_labels_the_text_format_cannot_hold_rejected(self, label):
+        # Each would dump to a ray line that load_rayset splits wrongly.
+        with pytest.raises(InvalidInputError, match="whitespace"):
+            RaySet(2, [[1, 0], [0, 1]], [label, "c"])
+
+    def test_unusual_labels_round_trip_through_text(self):
+        rs = RaySet(2, [[1, 0], [0, 1], [1, 1]], ["#a", "ray", "x\u00e9/1,2"])
+        assert load_rayset(dump_rayset(rs)) == rs
+
     def test_roundtrip_through_text(self):
         rs = load_builtin("peres33")
         text = dump_rayset(rs)

@@ -732,6 +732,36 @@ class TestInputPsd:
         # the exact test proved PSD; (2, False): the exact test refuted it.
         assert seen == {(1, True), (2, True), (2, False)}
 
+    def test_short_matrix_is_hermitian_within_half_a_step(self, monkeypatch):
+        """The fast path's matrix is Hermitian, and each part of each entry,
+        over 2^b, lies within 2^-(b+1) of H's (the diagonal less c): the
+        rounding bound the Weyl argument rests on.  b and c are derived as
+        the docstring of _float_psd_within gives them."""
+        seen = []
+        psd_cleared = povm._psd_cleared
+        monkeypatch.setattr(povm, "_psd_cleared",
+                            lambda w: seen.append([r[:] for r in w]) or psd_cleared(w))
+        rng = random.Random(20261022)
+        for _ in range(8):
+            for n in (1, 2, 3, 5):
+                rows = _near_boundary(rng, n, -0.5e-8)
+                (t,), k = _dyadic([rows])
+                scale = max(1.0, max(abs(e) for r in rows for e in r))
+                sp, sq = (1e-8 * scale * 2).as_integer_ratio()
+                b = (2 * n * sq // sp).bit_length()
+                cut, c = k + 1 - b, (sp << b) // sq - n
+                seen.clear()
+                _float_psd_within(rows, t, k, 1e-8)
+                assert cut > 0 and seen
+                short = seen[0]  # over 2^b; H's integers are over 2^(k+1)
+                for i in range(n):
+                    for j in range(n):
+                        re, _, im, _ = short[i][j]
+                        assert short[j][i] == (re, 0, -im, 0)
+                        (ar, ai), (br, bi) = t[i][j], t[j][i]
+                        assert abs((re - c * (i == j) << cut) - (ar + br)) <= 1 << (cut - 1)
+                        assert abs((im << cut) - (ai - bi)) <= 1 << (cut - 1)
+
     def test_dyadic_short_entries_skip_the_fast_path(self, monkeypatch):
         # Entries with few bits need no rounding: the exact test decides alone.
         calls = []
